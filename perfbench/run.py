@@ -33,7 +33,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_RUNS = 7
+SETUP_RUNS = 5
 DEADLINE_S = 170  # the whole run, all workload processes included
 
 
@@ -65,8 +65,11 @@ def _lines(proc: subprocess.Popen, deadline: float):
 def run_worker(argv: list[str], deadline: float) -> tuple[float, list[str]]:
     """Start one workload process; return its set-up time and the lines printed after `ready`."""
     start = time.perf_counter()
+    # A fixed hash seed keeps set and dict orders, and so the work done, the
+    # same in every process that runs the same instances.
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
     proc = subprocess.Popen(
-        [sys.executable, str(HERE / "worker.py"), *argv], stdout=subprocess.PIPE, cwd=ROOT
+        [sys.executable, str(HERE / "worker.py"), *argv], stdout=subprocess.PIPE, cwd=ROOT, env=env
     )
     try:
         lines = _lines(proc, deadline)

@@ -1,6 +1,6 @@
 """One workload process of the benchmark (started by run.py).
 
-It sets up (imports, family or kernel build, one warm-up instance), prints
+It sets up (imports, family build, one fixed warm-up instance), prints
 `ready`, runs the closed loop, then checks the answers outside the timed
 region and prints its result as one JSON line.  With --setup-only it stops
 after `ready`, so that run.py can time set-up several times.
@@ -109,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     w = workloads.WORKLOADS[args.workload](args.seed)
-    workloads.run(w, w.make(workloads.WARMUP_INDEX))
+    warm = workloads.WORKLOADS[args.workload](workloads.WARMUP_SEED)
+    workloads.run(w, warm.make(workloads.WARMUP_INDEX))
     print("ready", flush=True)
     if args.setup_only:
         return 0
