@@ -2,11 +2,13 @@
 Hörmander constant of finitely supported kernels.
 
 The BMO_q norm of a finitely supported function is an exact supremum: sets
-disjoint from the support oscillate by zero, so candidates are streamed
-along the father chains of the support vertices and each chain stops once
-the a-priori oscillation bound at its minimal remaining measure cannot
-beat the running best.  Functions represent their BMO class directly; the
-quotient by constants shows up only as tested shift invariance.
+disjoint from the support oscillate by zero, so it is the sharp maximal
+search of `maximal.sup_over_cz` run from every support vertex at once.
+Candidates come from the shared stream `sets.rooted_bands` along the
+father chains of the support, and each chain stops once the a-priori
+oscillation bound at its minimal remaining measure cannot beat the running
+best.  Functions represent their BMO class directly; the quotient by
+constants shows up only as tested shift invariance.
 """
 
 from __future__ import annotations
@@ -15,24 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .funcs import (
-    Exponent,
-    FinFunc,
-    NormValue,
-    oscillation,
-    oscillation_bound_holds,
-    pairing,
-)
-from .maximal import CutoffCertificate, SHARP_RULE, _cz_mu_min
-from .sets import (
-    CZSet,
-    enlargement_members,
-    feasible_heights,
-    member_count,
-    members,
-    witness_key,
-)
-from .tree import Tree, Vertex, Window, ancestor, level
+from .funcs import Exponent, FinFunc, NormValue, oscillation, pairing
+from .maximal import CutoffCertificate, sup_over_cz
+from .sets import CZSet, enlargement_members, member_count, members
+from .tree import Tree, Vertex, Window
 
 
 @dataclass(frozen=True)
@@ -63,40 +51,11 @@ def bmo_norm(tree: Tree, f: FinFunc, q) -> BmoReport:
             CutoffCertificate("zero function", None, None, 0),
             0,
         )
-    supp = f.support()
-    best = NormValue.zero()
-    witness = CZSet(supp[0], 1, degenerate=True)
-    best_key = witness_key(tree, witness)
-    evaluated = 1
-    seen: set[tuple[Vertex, int]] = set()
-    alive = {u: None for u in supp}
-    death_floor: Fraction | None = None
-    t = 0
-    while alive:
-        t += 1
-        for u in list(alive):
-            mu_min = _cz_mu_min(tree, level(u), t)
-            if not best.is_zero() and oscillation_bound_holds(tree, f, q, mu_min, best):
-                death_floor = mu_min if death_floor is None else min(death_floor, mu_min)
-                del alive[u]
-                continue
-            root = ancestor(u, t)
-            for h in feasible_heights(t):
-                if (root, h) in seen:
-                    continue
-                seen.add((root, h))
-                cand = CZSet(root, h)
-                val = oscillation(tree, f, cand, q)
-                evaluated += 1
-                if val > best:
-                    best, witness = val, cand
-                    best_key = witness_key(tree, cand)
-                elif val.eq_value(best):
-                    key = witness_key(tree, cand)
-                    if key < best_key:
-                        witness, best_key = cand, key
-    certificate = CutoffCertificate(SHARP_RULE, death_floor, None, evaluated)
-    return BmoReport(best, q, witness, certificate, evaluated)
+    best, certificate = sup_over_cz(
+        tree, f, q, f.support(), lambda s: oscillation(tree, f, s, q)
+    )
+    evaluated = certificate.sets_evaluated
+    return BmoReport(best.value, q, best.witness, certificate, evaluated)
 
 
 def atom_pairing_bound_check(

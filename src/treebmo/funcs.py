@@ -184,10 +184,9 @@ def _frac_to_float(x: Fraction) -> float:
     try:
         return float(x)
     except OverflowError:
-        # fall back through a scaled quotient for extreme numerators
-        return math.exp(
-            math.log(x.numerator if x.numerator else 1) - math.log(x.denominator)
-        )
+        # the sign is taken from the Fraction: math.copysign would convert it
+        # to a float and overflow again
+        return math.inf if x > 0 else -math.inf
 
 
 def sqrt_plus_le(a: Fraction, s: Fraction, c: Fraction) -> bool:

@@ -56,6 +56,10 @@ def parse_finfunc(tree: Tree, data) -> FinFunc:
     seen = set()
     pairs = []
     for entry in data:
+        if not isinstance(entry, dict) or "v" not in entry or "val" not in entry:
+            raise ValueError(f"function JSON entry {entry!r} is not a {{v, val}} pair")
+        if not isinstance(entry["v"], str):
+            raise ValueError(f"vertex {entry['v']!r} in function JSON is not a string")
         v = parse_vertex(tree, entry["v"])
         if v in seen:
             raise ValueError(f"duplicate vertex {entry['v']} in function JSON")

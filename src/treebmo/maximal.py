@@ -7,19 +7,21 @@ Two suprema over infinite families are computed here:
 * the sharp maximal function: suprema of q-oscillations over CZ sets
   containing a point.
 
-Both enumerate roots along the father chain of the point and stop once an
-a-priori bound shows that any set rooted higher cannot beat the current
-best.  The stopping rule is part of the public contract: every result
-carries a certificate stating the measure threshold past which candidates
-were discarded and the inequality that justifies it.  The test suite
-replays these computations against brute-force oracles with no cutoff.
+Both climb the father chains of `sets.rooted_bands`, keep the best value
+in a `sets.ArgMax`, and stop a chain once an a-priori bound shows that any
+set rooted higher cannot beat the current best.  The stopping rule is part
+of the public contract: every result carries a certificate stating the
+measure threshold past which candidates were discarded and the inequality
+that justifies it.  `bmo.bmo_norm` runs the same CZ search, `sup_over_cz`,
+from every support vertex.  The test suite replays these computations
+against brute-force oracles with no cutoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .funcs import (
     Exponent,
@@ -32,11 +34,13 @@ from .funcs import (
 )
 from .sets import (
     AdmissibleTrapezoid,
+    ArgMax,
     CZSet,
     EnumerationError,
     feasible_heights,
     member_count,
     members,
+    rooted_bands,
     witness_key,
 )
 from .tree import Tree, Vertex, Window, ancestor, level
@@ -74,6 +78,35 @@ def _trivial_certificate(rule: str, n: int = 0) -> CutoffCertificate:
 # ---------------------------------------------------------------------------
 
 
+HL_RULE = "average <= total_mass / measure"
+
+
+def _trapezoid_mu_min(tree: Tree, start_level: int, t: int) -> Fraction:
+    """Least measure of a trapezoid rooted t levels above the start."""
+    return (t // 2 + 1) * tree.level_weight(start_level + t)
+
+
+def _trapezoid_masses(
+    tree: Tree,
+    phi: FinFunc,
+    starts: list[Vertex],
+    keep: Callable[[Vertex, int], bool],
+) -> Iterator[tuple[AdmissibleTrapezoid, Fraction, Fraction]]:
+    """(trapezoid, integral of phi over it, its measure) along the stream."""
+    masses = [(val * tree.weight(v), v) for v, val in phi.items()]
+    # the heights whose band [h, 2h) reaches depth t below the root
+    for root, hs in rooted_bands(starts, lambda t: range(t // 2 + 1, t + 1), keep):
+        root_level = level(root)
+        depths = []
+        for mass, v in masses:
+            d = root_level - level(v)
+            if d >= 0 and ancestor(v, d) == root:
+                depths.append((d, mass))
+        for h in hs:
+            total = sum((m for d, m in depths if h <= d < 2 * h), Fraction(0))
+            yield AdmissibleTrapezoid(root, h), total, h * tree.level_weight(root_level)
+
+
 def hl_maximal(tree: Tree, phi: FinFunc, x: Vertex) -> MaximalResult:
     """Exact sup of averages of phi over admissible trapezoids containing x.
 
@@ -90,44 +123,23 @@ def hl_maximal(tree: Tree, phi: FinFunc, x: Vertex) -> MaximalResult:
             NormValue.zero(), None, _trivial_certificate("zero function")
         )
     l1 = lp_power(tree, phi, 1)
-    best = phi.at(x)
-    witness: AdmissibleTrapezoid | CZSet = AdmissibleTrapezoid(x, 1, degenerate=True)
-    best_key = witness_key(tree, witness)
+    best = ArgMax(tree, phi.at(x), AdmissibleTrapezoid(x, 1, degenerate=True))
     evaluated = 1
-    masses = [(val * tree.weight(v), v) for v, val in phi.items()]
-    t = 0
-    while True:
-        t += 1
-        h_min = t // 2 + 1
-        mu_min = h_min * tree.level_weight(level(x) + t)
-        if best > 0 and mu_min * best > l1:
-            certificate = CutoffCertificate(
-                "average <= total_mass / measure",
-                mu_min,
-                l1 / mu_min,
-                evaluated,
-            )
-            return MaximalResult(NormValue.exact1(best), witness, certificate)
-        root = ancestor(x, t)
-        root_level = level(root)
-        depths = []
-        for mass, v in masses:
-            d = root_level - level(v)
-            if d >= 0 and ancestor(v, d) == root:
-                depths.append((d, mass))
-        for h in range(t // 2 + 1, t + 1):
-            total = sum((m for d, m in depths if h <= d < 2 * h), Fraction(0))
-            mu = h * tree.level_weight(root_level)
-            avg = total / mu
-            evaluated += 1
-            cand = AdmissibleTrapezoid(root, h)
-            if avg > best:
-                best, witness = avg, cand
-                best_key = witness_key(tree, cand)
-            elif avg == best:
-                key = witness_key(tree, cand)
-                if key < best_key:
-                    witness, best_key = cand, key
+    floor: Fraction | None = None
+
+    def keep(u: Vertex, t: int) -> bool:
+        nonlocal floor
+        mu_min = _trapezoid_mu_min(tree, level(u), t)
+        if best.value > 0 and mu_min * best.value > l1:
+            floor = mu_min
+            return False
+        return True
+
+    for r, total, mu in _trapezoid_masses(tree, phi, [x], keep):
+        evaluated += 1
+        best.offer(total / mu, r)
+    certificate = CutoffCertificate(HL_RULE, floor, l1 / floor, evaluated)
+    return MaximalResult(NormValue.exact1(best.value), best.witness, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +160,15 @@ def threshold_trapezoids(
     if lam <= 0:
         raise ValueError("threshold must be positive")
     l1 = lp_power(tree, phi, 1)
-    supp = phi.support()
-    masses = [(val * tree.weight(v), v) for v, val in phi.items()]
-    out: list[AdmissibleTrapezoid] = []
-    seen: set[tuple[Vertex, int]] = set()
-    for u in supp:
-        t = 0
-        while True:
-            t += 1
-            h_min = t // 2 + 1
-            mu_min = h_min * tree.level_weight(level(u) + t)
-            if mu_min * lam >= l1:
-                break
-            root = ancestor(u, t)
-            root_level = level(root)
-            depths = []
-            for mass, v in masses:
-                d = root_level - level(v)
-                if d >= 0 and ancestor(v, d) == root:
-                    depths.append((d, mass))
-            for h in range(t // 2 + 1, t + 1):
-                if (root, h) in seen:
-                    continue
-                seen.add((root, h))
-                total = sum((m for d, m in depths if h <= d < 2 * h), Fraction(0))
-                if total > lam * h * tree.level_weight(root_level):
-                    out.append(AdmissibleTrapezoid(root, h))
+
+    def keep(u: Vertex, t: int) -> bool:
+        return _trapezoid_mu_min(tree, level(u), t) * lam < l1
+
+    out = [
+        r
+        for r, total, mu in _trapezoid_masses(tree, phi, phi.support(), keep)
+        if total > lam * mu
+    ]
     out.sort(key=lambda r: witness_key(tree, r))
     return out
 
@@ -203,7 +198,7 @@ def maximal_level_set(
         omega.update(members(tree, r))
     l1 = lp_power(tree, phi, 1)
     certificate = CutoffCertificate(
-        "average <= total_mass / measure",
+        HL_RULE,
         l1 / lam,
         lam,
         len(traps),
@@ -221,13 +216,47 @@ def _cz_mu_min(tree: Tree, x_level: int, t: int) -> Fraction:
     return (4 * h0 - (h0 + 1) // 2) * tree.level_weight(x_level + t)
 
 
-def _sup_over_cz(
+SHARP_RULE = "oscillation <= (||f||_q^q/measure)^(1/q) + ||f||_1/measure"
+
+
+def sup_over_cz(
     tree: Tree,
     f: FinFunc,
-    q,
-    x: Vertex,
+    q: Exponent,
+    starts: list[Vertex],
     set_value: Callable[[CZSet], NormValue],
-    rule: str,
+) -> tuple[ArgMax, CutoffCertificate]:
+    """Sup of set_value over the CZ sets containing some start vertex.
+
+    f must be nonzero and q finite; set_value(S) must not exceed the
+    q-oscillation of f on S, which the stop rule bounds.  The search starts
+    at value zero on the degenerate set {starts[0]}, counted as evaluated.
+    """
+    best = ArgMax(tree, NormValue.zero(), CZSet(starts[0], 1, degenerate=True))
+    evaluated = 1
+    floor: Fraction | None = None
+
+    def keep(u: Vertex, t: int) -> bool:
+        nonlocal floor
+        mu_min = _cz_mu_min(tree, level(u), t)
+        if best.value.is_zero() or not oscillation_bound_holds(
+            tree, f, q, mu_min, best.value
+        ):
+            return True
+        floor = mu_min if floor is None else min(floor, mu_min)
+        return False
+
+    for root, hs in rooted_bands(starts, feasible_heights, keep):
+        for h in hs:
+            cand = CZSet(root, h)
+            val = set_value(cand)
+            evaluated += 1
+            best.offer(val, cand)
+    return best, CutoffCertificate(SHARP_RULE, floor, None, evaluated)
+
+
+def _sharp_at(
+    tree: Tree, f: FinFunc, q, x: Vertex, set_value: Callable[[CZSet], NormValue]
 ) -> MaximalResult:
     q = Exponent.of(q)
     if q.is_inf:
@@ -238,40 +267,13 @@ def _sup_over_cz(
             CZSet(x, 1, degenerate=True),
             _trivial_certificate("zero function", 1),
         )
-    best = NormValue.zero()
-    witness: CZSet = CZSet(x, 1, degenerate=True)
-    best_key = witness_key(tree, witness)
-    evaluated = 1
-    x_level = level(x)
-    t = 0
-    while True:
-        t += 1
-        mu_min = _cz_mu_min(tree, x_level, t)
-        if not best.is_zero() and oscillation_bound_holds(tree, f, q, mu_min, best):
-            certificate = CutoffCertificate(rule, mu_min, None, evaluated)
-            return MaximalResult(best, witness, certificate)
-        root = ancestor(x, t)
-        for h in feasible_heights(t):
-            cand = CZSet(root, h)
-            val = set_value(cand)
-            evaluated += 1
-            if val > best:
-                best, witness = val, cand
-                best_key = witness_key(tree, cand)
-            elif val.eq_value(best):
-                key = witness_key(tree, cand)
-                if key < best_key:
-                    witness, best_key = cand, key
-
-
-SHARP_RULE = "oscillation <= (||f||_q^q/measure)^(1/q) + ||f||_1/measure"
+    best, certificate = sup_over_cz(tree, f, q, [x], set_value)
+    return MaximalResult(best.value, best.witness, certificate)
 
 
 def sharp_maximal(tree: Tree, f: FinFunc, q, x: Vertex) -> MaximalResult:
     """Sup of q-oscillations of f over CZ sets containing x; exact for q in {1, 2}."""
-    return _sup_over_cz(
-        tree, f, q, x, lambda s: oscillation(tree, f, s, q), SHARP_RULE
-    )
+    return _sharp_at(tree, f, q, x, lambda s: oscillation(tree, f, s, q))
 
 
 def centered_sharp_maximal(tree: Tree, f: FinFunc, q, x: Vertex) -> MaximalResult:
@@ -282,13 +284,8 @@ def centered_sharp_maximal(tree: Tree, f: FinFunc, q, x: Vertex) -> MaximalResul
     Always between half of the sharp maximal function and the sharp
     maximal function itself.
     """
-    return _sup_over_cz(
-        tree,
-        f,
-        q,
-        x,
-        lambda s: best_constant_oscillation(tree, f, s, q),
-        SHARP_RULE,
+    return _sharp_at(
+        tree, f, q, x, lambda s: best_constant_oscillation(tree, f, s, q)
     )
 
 
@@ -352,18 +349,11 @@ def sharp_field(
     f: FinFunc,
     q,
     where: Window | Iterable[Vertex],
-    parallel: bool = False,
 ) -> dict[Vertex, MaximalResult]:
     """Pointwise sharp maximal function on a window or explicit vertex list.
 
-    Points are independent, so evaluation order cannot matter; the parallel
-    path exists to let the tests assert exactly that.
+    Each point is an independent `sharp_maximal` call, so the result does
+    not depend on the order of the points.
     """
     points = where.members(tree) if isinstance(where, Window) else list(where)
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(lambda v: sharp_maximal(tree, f, q, v), points))
-        return dict(zip(points, results))
     return {v: sharp_maximal(tree, f, q, v) for v in points}

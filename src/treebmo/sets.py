@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .tree import (
     Tree,
@@ -265,7 +265,7 @@ def covering_index(x: Vertex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the superset stream: every CZ set meeting a finite support, up to a measure cap
+# the candidate stream: bands rooted on the father chains of finitely many starts
 # ---------------------------------------------------------------------------
 
 
@@ -277,6 +277,37 @@ def feasible_heights(depth: int) -> range:
 
 
 MIN_CZ_LEVELS = 3  # a non-degenerate CZ set spans at least 4*1 - 1 = 3 levels
+
+
+def rooted_bands(
+    starts: Iterable[Vertex],
+    heights: Callable[[int], Iterable[int]],
+    keep: Callable[[Vertex, int], bool],
+) -> Iterator[tuple[Vertex, list[int]]]:
+    """The candidate stream of every supremum over sets rooted on father chains.
+
+    In waves t = 1, 2, ..., each live start u (in the given order) survives
+    while keep(u, t) holds, and its root ancestor(u, t) is yielded with the
+    heights of heights(t) not yet yielded at that root.  keep runs only
+    after the caller has consumed every earlier yield, so it may read a
+    running best.  The stream ends when every chain has stopped.
+    """
+    seen: set[tuple[Vertex, int]] = set()
+    alive = list(starts)
+    t = 0
+    while alive:
+        t += 1
+        still = []
+        for u in alive:
+            if not keep(u, t):
+                continue
+            still.append(u)
+            root = ancestor(u, t)
+            fresh = [h for h in heights(t) if (root, h) not in seen]
+            if fresh:
+                seen.update((root, h) for h in fresh)
+                yield root, fresh
+        alive = still
 
 
 def cz_supersets(
@@ -298,26 +329,15 @@ def cz_supersets(
     for u in supp:
         if tree.weight(u) <= cap:
             yield CZSet(u, 1, degenerate=True)
-    seen: set[tuple[Vertex, int]] = set()
-    alive = list(supp)
-    t = 0
-    while alive:
-        t += 1
-        still = []
-        for u in alive:
-            if MIN_CZ_LEVELS * tree.level_weight(level(u) + t) > cap:
-                continue
-            still.append(u)
-            root = ancestor(u, t)
-            root_weight = tree.weight(root)
-            for h in feasible_heights(t):
-                if (root, h) in seen:
-                    continue
-                if (4 * h - (h + 1) // 2) * root_weight > cap:
-                    continue
-                seen.add((root, h))
+
+    def keep(u: Vertex, t: int) -> bool:
+        return MIN_CZ_LEVELS * tree.level_weight(level(u) + t) <= cap
+
+    for root, hs in rooted_bands(supp, feasible_heights, keep):
+        root_weight = tree.weight(root)
+        for h in hs:
+            if (4 * h - (h + 1) // 2) * root_weight <= cap:
                 yield CZSet(root, h)
-        alive = still
 
 
 def witness_key(tree: Tree, s: TrapezoidLike):
@@ -332,6 +352,29 @@ def witness_key(tree: Tree, s: TrapezoidLike):
         h,
         deg,
     )
+
+
+class ArgMax:
+    """A running maximum whose ties go to the smallest witness_key.
+
+    Values may be Fractions or NormValues; only > and < are used, since
+    equal NormValues can differ in representation (degree 1 vs 2).
+    """
+
+    def __init__(self, tree: Tree, value, witness: TrapezoidLike):
+        self.tree = tree
+        self.value = value
+        self.witness = witness
+        self._key = witness_key(tree, witness)
+
+    def offer(self, value, witness: TrapezoidLike) -> None:
+        if value > self.value:
+            self.value, self.witness = value, witness
+            self._key = witness_key(self.tree, witness)
+        elif not value < self.value:
+            key = witness_key(self.tree, witness)
+            if key < self._key:
+                self.witness, self._key = witness, key
 
 
 def smallest_enclosing_cz(tree: Tree, vertices: Iterable[Vertex]) -> CZSet:

@@ -22,7 +22,13 @@ from .funcs import (
     oscillation,
     pairing,
 )
-from .hardy import good_bad_split, h1_duality_lower, h1_lp_gauge, normalize_to_atom
+from .hardy import (
+    _ceil_log2,
+    good_bad_split,
+    h1_duality_lower,
+    h1_lp_gauge,
+    normalize_to_atom,
+)
 from .jsonio import finfunc_json, frac_str, set_json
 from .maximal import centered_sharp_maximal, sharp_field, sharp_maximal
 from .randgen import RunConfig, nonzero_function
@@ -35,6 +41,7 @@ from .sets import (
     covering_index,
     cz_measure,
     cz_supersets,
+    enlargement_members,
     envelope,
     members,
     smallest_enclosing_cz,
@@ -238,7 +245,7 @@ def suite_geometry(config: RunConfig) -> ConstantsReport:
         ratio = enlargement_measure(tree, s) / cz_measure(tree, s)
         worst = max(worst, ratio)
         if h <= oracle_h:
-            closed = set(_enlargement_closed(tree, s))
+            closed = set(enlargement_members(tree, s))
             brute = bf.enlargement_by_bfs(tree, s)
             if closed != brute:
                 rep.violations.append(
@@ -322,12 +329,6 @@ def suite_geometry(config: RunConfig) -> ConstantsReport:
         )
     )
     return rep
-
-
-def _enlargement_closed(tree: Tree, s: CZSet):
-    from .sets import enlargement_members
-
-    return enlargement_members(tree, s)
 
 
 def _set_inside_window(tree: Tree, s: CZSet, window: Window) -> bool:
@@ -609,7 +610,7 @@ def suite_decompose(config: RunConfig) -> ConstantsReport:
         rng = random.Random(f"{config.seed}:decompose:{i}")
         kind = "rademacher" if i % 2 else "atom-combo"
         g = nonzero_function(tree, window, config.seed, kind, 50_000 + i)
-        j_top = _ceil_log2_frac(g.max_abs())
+        j_top = _ceil_log2(g.max_abs())
         j = j_top - rng.randint(1, 2)
         try:
             split = good_bad_split(tree, g, 2, j)  # self-verifies its contracts
@@ -681,12 +682,6 @@ def suite_decompose(config: RunConfig) -> ConstantsReport:
         Record("h1-sandwich", "lower <= upper on zero-integral instances", sandwich)
     )
     return rep
-
-
-def _ceil_log2_frac(x: Fraction) -> int:
-    from .hardy import _ceil_log2
-
-    return _ceil_log2(x)
 
 
 # ---------------------------------------------------------------------------

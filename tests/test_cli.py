@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from treebmo import jsonio
 from treebmo.cli import main
 from treebmo.funcs import FinFunc
@@ -153,3 +155,22 @@ def test_missing_file_exit_two(capsys):
     code = main(["bmo-norm", "--q", "1", "--in", "/nonexistent/f.json"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1],
+        ["0:1"],
+        [{"val": "1"}],
+        [{"v": "0:1"}],
+        [{"v": 5, "val": "1"}],
+    ],
+)
+def test_malformed_function_exit_two(tmp_path, capsys, data):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code = main(["bmo-norm", "--q", "1", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from treebmo.funcs import (
     FinFunc,
     NormValue,
     ZeroMeasureError,
+    _frac_to_float,
     average,
     integral,
     lp_norm,
@@ -72,6 +74,14 @@ class TestNormValue:
         assert not norm_le_sum(
             NormValue.exact_sqrt(9), [(Fraction(1), t), (Fraction(1), t)]
         )
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [(Fraction(10**400, 3), math.inf), (Fraction(-(10**400), 3), -math.inf)],
+)
+def test_frac_to_float_overflow_keeps_sign(x, expected):
+    assert _frac_to_float(x) == expected
 
 
 class TestFinFunc:

@@ -1,0 +1,119 @@
+"""Byte-level pins of the certified candidate streams.
+
+Each case serialises seeded calls with `jsonio` and compares the sha256 of
+the text with a digest recorded from a known-good implementation.  A change
+to any value, witness, certificate field (`sets_evaluated` included), the
+level-set contents or the order in which `cz_supersets` yields its sets
+changes a digest.  Refactors of the streams must keep every digest.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from treebmo import jsonio
+from treebmo.bmo import bmo_norm
+from treebmo.maximal import (
+    centered_sharp_maximal,
+    hl_maximal,
+    maximal_level_set,
+    sharp_maximal,
+)
+from treebmo.randgen import KINDS, nonzero_function
+from treebmo.sets import cz_supersets
+from treebmo.tree import Tree, Vertex, Window, format_vertex
+
+# (tree, window, cz_supersets cap)
+SETTINGS = (
+    (Tree(2), Window(Vertex(2, ()), 4), Fraction(24)),
+    (Tree(3), Window(Vertex(1, ()), 3), Fraction(40)),
+)
+SEEDS = range(6)
+
+
+def _inputs():
+    for tree, window, cap in SETTINGS:
+        pts = window.members(tree)
+        for kind in KINDS:
+            for seed in SEEDS:
+                f = nonzero_function(tree, window, seed, kind)
+                probes = [pts[0], pts[len(pts) // 2], pts[-1], f.support()[-1]]
+                yield tree, f, probes, cap
+
+
+def _maximal_map(tree, fn, probes):
+    return {format_vertex(x): jsonio.maximal_json(tree, fn(x)) for x in probes}
+
+
+def _payload(name: str) -> list:
+    out = []
+    for tree, f, probes, cap in _inputs():
+        phi = abs(f)
+        if name == "bmo_norm":
+            out.append(
+                [jsonio.bmo_report_json(tree, bmo_norm(tree, f, q)) for q in (1, 2)]
+            )
+        elif name == "sharp_maximal":
+            out.append(
+                _maximal_map(tree, lambda x: sharp_maximal(tree, f, 1, x), probes)
+            )
+        elif name == "centered_sharp_maximal":
+            out.append(
+                [
+                    _maximal_map(
+                        tree, lambda x: centered_sharp_maximal(tree, f, q, x), probes
+                    )
+                    for q in (1, 2)
+                ]
+            )
+        elif name == "hl_maximal":
+            out.append(_maximal_map(tree, lambda x: hl_maximal(tree, phi, x), probes))
+        elif name == "maximal_level_set":
+            for lam in (phi.max_abs() / 2, phi.max_abs() / 5):
+                omega, cert = maximal_level_set(tree, phi, lam)
+                out.append(
+                    {
+                        "omega": sorted(format_vertex(v) for v in omega),
+                        "certificate": jsonio.certificate_json(cert),
+                    }
+                )
+        elif name == "cz_supersets":
+            out.append(
+                [jsonio.set_json(tree, s) for s in cz_supersets(tree, f.support(), cap)]
+            )
+    return out
+
+
+DIGESTS = {
+    "bmo_norm": (
+        "3adc4b8fcb68cff11656a3443e18bdfd"
+        "c68255b910017a893e96c57fafd85aaa"
+    ),
+    "sharp_maximal": (
+        "d9c57d10ee7a87cec8a9a43ae7a8fdb8"
+        "fb1d6d8b45146240ea7e65f18509cc7b"
+    ),
+    "centered_sharp_maximal": (
+        "0bbf5da825f134fb3aa230b21c43530e"
+        "7e0bf774b2ac874d5d5496398d24a235"
+    ),
+    "hl_maximal": (
+        "20fb0d70d0af6c712221f26b90a829b6"
+        "8379cc921addfbd259ae675c4745b596"
+    ),
+    "maximal_level_set": (
+        "7d9ae06632f20cd997d6308b08ca1d68"
+        "c2155d5878d8ed6789bf3021d2242a6c"
+    ),
+    "cz_supersets": (
+        "1f3ce41b39144f4fd9e6a9eb1c8f129e"
+        "5ee4ce1fcc87a7d46121701d67368ec6"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_stream_digest(name):
+    text = jsonio.dumps(_payload(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -175,14 +176,18 @@ class TestSharpField:
         for x in list(field)[:5]:
             assert field[x].value.eq_value(sharp_maximal(T2, f, 1, x).value)
 
-    def test_parallel_matches_sequential(self):
+    def test_point_order_does_not_matter(self):
         f = nonzero_function(T2, WINDOW, 37, "sparse", 1)
-        seq = sharp_field(T2, f, 1, WINDOW)
-        par = sharp_field(T2, f, 1, WINDOW, parallel=True)
-        assert set(seq) == set(par)
-        for x in seq:
-            assert seq[x].value.eq_value(par[x].value)
-            assert seq[x].witness == par[x].witness
+        pts = WINDOW.members(T2)
+        base = sharp_field(T2, f, 1, pts)
+        shuffled = pts[::-1]
+        random.Random(37).shuffle(shuffled)
+        for order in (pts[::-1], shuffled):
+            other = sharp_field(T2, f, 1, order)
+            assert set(other) == set(base)
+            for x in base:
+                assert other[x].value.eq_value(base[x].value)
+                assert other[x].witness == base[x].witness
 
     def test_max_of_field_is_witness_oscillation(self):
         f = CHI_U
