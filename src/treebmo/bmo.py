@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .funcs import Exponent, FinFunc, NormValue, oscillation, pairing
 from .maximal import CutoffCertificate, sup_over_cz
-from .sets import CZSet, enlargement_members, member_count, members
+from .sets import CZSet, band_within, enlargement, member_count, members
 from .tree import Tree, Vertex, Window
 
 
@@ -138,16 +138,15 @@ def hormander_constant(
     best_set: CZSet | None = None
     best_pair: tuple[Vertex, Vertex] | None = None
     for s in family:
+        grown = enlargement(s)
+        if not band_within(s, win):
+            raise DomainError(f"{s} escapes the declared window")
+        if not band_within(grown, win):
+            raise DomainError(f"enlargement of {s} escapes the declared window")
         if member_count(tree, s) > 200_000:
             raise DomainError(f"{s} is too large to scan pairwise")
         mem = sorted(members(tree, s), key=lambda v: (v.anchor, v.word))
-        for v in mem:
-            if not win.contains(v):
-                raise DomainError(f"{s} escapes the declared window at {v}")
-        enlarged = set(enlargement_members(tree, s))
-        for v in enlarged:
-            if not win.contains(v):
-                raise DomainError(f"enlargement of {s} escapes the declared window")
+        enlarged = set(members(tree, grown))
         for i, y in enumerate(mem):
             row_y = rows.get(y, {})
             for z in mem[i + 1 :]:

@@ -165,13 +165,11 @@ def cz_in_window(
 # ---------------------------------------------------------------------------
 
 
-def hl_maximal_oracle(
-    tree: Tree, phi: FinFunc, x: Vertex, start_cap: Fraction | None = None
-) -> Fraction:
+def hl_maximal_oracle(tree: Tree, phi: FinFunc, x: Vertex) -> Fraction:
     if not phi:
         return Fraction(0)
     l1 = lp_power(tree, phi, 1)
-    cap = Fraction(start_cap) if start_cap is not None else 64 * max(l1, Fraction(1))
+    cap = 64 * max(l1, Fraction(1))
     while True:
         best = Fraction(0)
         for r in trapezoids_containing(tree, x, cap):
@@ -181,15 +179,11 @@ def hl_maximal_oracle(
         cap = max(cap * 16, l1 * 2 / best if best else cap * 16)
 
 
-def sharp_maximal_oracle(
-    tree: Tree, f: FinFunc, q, x: Vertex, start_cap: Fraction | None = None
-) -> NormValue:
+def sharp_maximal_oracle(tree: Tree, f: FinFunc, q, x: Vertex) -> NormValue:
     if not f:
         return NormValue.zero()
     qi = int(q)
     cap = _initial_cap(tree, f)
-    if start_cap is not None:
-        cap = Fraction(start_cap)
     while True:
         best = NormValue.zero()
         for s in cz_containing(tree, x, cap):

@@ -60,10 +60,6 @@ class Exponent:
     def is_inf(self) -> bool:
         return self.value is None
 
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1
-
     def integer(self) -> int | None:
         if self.value is not None and self.value.denominator == 1:
             return int(self.value)
@@ -307,10 +303,6 @@ class FinFunc:
     def pointwise_min(self, other: "FinFunc") -> "FinFunc":
         keys = set(self._data) | set(other._data)
         return FinFunc({v: min(self.at(v), other.at(v)) for v in keys})
-
-    def restrict(self, s) -> "FinFunc":
-        contains = s.contains if hasattr(s, "contains") else s.__contains__
-        return FinFunc({v: val for v, val in self._data.items() if contains(v)})
 
     def truncate(self, k) -> "FinFunc":
         """Clamp to [-k, k] keeping signs: values above k in modulus become k*sign."""

@@ -34,6 +34,8 @@ from .maximal import CutoffCertificate, hl_maximal, maximal_level_set
 from .sets import (
     AdmissibleTrapezoid,
     CZSet,
+    band_within,
+    bands_overlap,
     cz_measure,
     envelope,
     members,
@@ -42,7 +44,7 @@ from .sets import (
     witness_key,
 )
 from .simplex import InfeasibleError, solve_lp
-from .tree import Tree, Vertex, ancestor, level, lies_below
+from .tree import Tree, Vertex, ancestor, level
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,9 @@ def normalize_to_atom(tree: Tree, g: FinFunc, s: CZSet) -> tuple[Atom, Fraction]
 # ---------------------------------------------------------------------------
 
 
+MAX_LEVEL_SET = 100_000  # vertices a good/bad split may materialise
+
+
 @dataclass(frozen=True)
 class GoodBadSplit:
     level_j: int
@@ -123,30 +128,6 @@ class GoodBadSplit:
     @property
     def c_bad(self) -> float:
         return float(self.c_bad_qpow) ** (1.0 / self.q)
-
-
-def _trapezoid_subset(a: AdmissibleTrapezoid, b: AdmissibleTrapezoid) -> bool:
-    if a.degenerate:
-        return b.contains(a.root)
-    if b.degenerate:
-        return False
-    gap = level(b.root) - level(a.root)
-    if gap < 0 or not lies_below(a.root, b.root):
-        return False
-    return b.h <= a.h + gap and 2 * a.h + gap <= 2 * b.h
-
-
-def _trapezoids_overlap(a: AdmissibleTrapezoid, b: AdmissibleTrapezoid) -> bool:
-    if lies_below(a.root, b.root):
-        lower, upper = a, b
-    elif lies_below(b.root, a.root):
-        lower, upper = b, a
-    else:
-        return False  # incomparable roots span disjoint subtrees
-    gap = level(upper.root) - level(lower.root)
-    lo1, hi1 = lower.depth_range()
-    lo2, hi2 = upper.depth_range()
-    return lo1 + gap <= hi2 and lo2 <= hi1 + gap
 
 
 def admissible_trapezoids_within(
@@ -192,28 +173,38 @@ def select_maximal_disjoint(
     envelope (two overlapping trapezoids have comparable roots, and the
     lower one's depth band maps into the upper one's envelope band), which
     is what makes the envelopes of the selection cover the original set.
+    A candidate is maximal when no other candidate rooted on its father
+    chain contains it.
     """
-    maximal = [
-        r
-        for r in candidates
-        if not any(s != r and _trapezoid_subset(r, s) for s in candidates)
-    ]
+    by_root: dict[Vertex, list[AdmissibleTrapezoid]] = {}
+    for s in candidates:
+        by_root.setdefault(s.root, []).append(s)
+    top = max((s.depth_range()[1] for s in candidates), default=0)
+
+    def covered(r: AdmissibleTrapezoid) -> bool:
+        # a superset of r is rooted g levels above r with its band reaching
+        # depth hi(r) + g, so g never exceeds top - hi(r)
+        for g in range(top - r.depth_range()[1] + 1):
+            for s in by_root.get(ancestor(r.root, g), ()):
+                if s != r and band_within(r, s):
+                    return True
+        return False
+
+    maximal = [r for r in candidates if not covered(r)]
     maximal.sort(key=lambda r: (-level(r.root), witness_key(tree, r)))
     selected: list[AdmissibleTrapezoid] = []
     for r in maximal:
-        if all(not _trapezoids_overlap(r, s) for s in selected):
+        if all(not bands_overlap(r, s) for s in selected):
             selected.append(r)
     return selected
 
 
-def good_bad_split(
-    tree: Tree, g: FinFunc, q, j: int, max_level_set: int = 100_000
-) -> GoodBadSplit:
+def good_bad_split(tree: Tree, g: FinFunc, q, j: int) -> GoodBadSplit:
     """Split g at threshold 2**j against the maximal function of |g|**q.
 
     q must be an integer >= 2 so that |g|**q and the level-set threshold
     2**(jq) stay rational and the whole construction is exact.  A level
-    set larger than `max_level_set` vertices raises EnumerationError
+    set larger than MAX_LEVEL_SET vertices raises EnumerationError
     rather than truncating silently.
     """
     q = Exponent.of(q)
@@ -223,7 +214,7 @@ def good_bad_split(
     phi = FinFunc({v: abs(val) ** qi for v, val in g.items()})
     lam = Fraction(2) ** (j * qi)
     scale = Fraction(2) ** j
-    omega, certificate = maximal_level_set(tree, phi, lam, max_vertices=max_level_set)
+    omega, certificate = maximal_level_set(tree, phi, lam, max_vertices=MAX_LEVEL_SET)
     selected = select_maximal_disjoint(
         tree, admissible_trapezoids_within(tree, omega)
     )
@@ -271,7 +262,7 @@ def _verify_split_contracts(tree, g, good, bad_parts, envelopes, omega) -> None:
     traps = [r for _, r in bad_parts]
     for i, r in enumerate(traps):
         for s in traps[i + 1 :]:
-            if _trapezoids_overlap(r, s):
+            if bands_overlap(r, s):
                 raise AssertionError(f"selected trapezoids {r} and {s} overlap")
     for piece, r in bad_parts:
         for v in members(tree, r):
@@ -308,9 +299,7 @@ class TelescopingResult:
     c_bad_qpow_max: Fraction
 
 
-def telescoping_h1_upper(
-    tree: Tree, g: FinFunc, q, max_level_set: int = 100_000
-) -> TelescopingResult:
+def telescoping_h1_upper(tree: Tree, g: FinFunc, q) -> TelescopingResult:
     """An explicit validated atomic decomposition of g, hence an upper bound
     for its atomic norm.
 
@@ -338,9 +327,7 @@ def telescoping_h1_upper(
     j_min = j_max
     while Fraction(2) ** (j_min * qi) >= min_m:
         j_min -= 1
-    splits = [
-        good_bad_split(tree, g, qi, j, max_level_set) for j in range(j_min, j_max)
-    ]
+    splits = [good_bad_split(tree, g, qi, j) for j in range(j_min, j_max)]
     base = splits[0]
     pieces: list[tuple[Fraction, Atom]] = []
     for piece, r in base.bad_parts:

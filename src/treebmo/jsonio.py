@@ -209,12 +209,22 @@ def hormander_json(tree: Tree, r: HormanderResult) -> dict:
     }
 
 
-def parse_kernel(tree: Tree, data: dict) -> KernelWindow:
+def parse_kernel(tree: Tree, data) -> KernelWindow:
     from .tree import parse_window
 
+    if not isinstance(data, dict) or "window" not in data or "entries" not in data:
+        raise ValueError("kernel JSON must be an object with 'window' and 'entries'")
+    if not isinstance(data["window"], str):
+        raise ValueError(f"kernel window {data['window']!r} is not a string")
+    if not isinstance(data["entries"], list):
+        raise ValueError("kernel JSON 'entries' must be an array of {y, x, val} entries")
     window = parse_window(tree, data["window"])
     mapping = {}
     for entry in data["entries"]:
+        if not isinstance(entry, dict) or not {"y", "x", "val"} <= entry.keys():
+            raise ValueError(f"kernel JSON entry {entry!r} is not a {{y, x, val}} triple")
+        if not isinstance(entry["y"], str) or not isinstance(entry["x"], str):
+            raise ValueError(f"vertex in kernel JSON entry {entry!r} is not a string")
         y = parse_vertex(tree, entry["y"])
         x = parse_vertex(tree, entry["x"])
         key = (y, x)

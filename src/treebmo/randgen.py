@@ -26,8 +26,6 @@ class RunConfig:
     p0: Fraction = Fraction(3, 2)
     seed: int = 0
     size: int = 50
-    max_measure: Fraction | None = None
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.m < 2:

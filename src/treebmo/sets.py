@@ -7,6 +7,8 @@ exact measure h * m**level(root); their envelopes widen the band to
 [h/2, 4h) and form the family over which every oscillation, maximal
 function and atom in this package is defined.  Closed-form measures are
 used everywhere and are cross-checked against enumeration in the tests.
+Every set here, enlargements included, is a `tree.Band`, so membership,
+containment (`band_within`) and overlap (`bands_overlap`) are written once.
 
 Depth bands are kept in integer form: "depth >= h/2" for integer depth
 is "depth >= ceil(h/2)", and "depth < 4h" is "depth <= 4h - 1".  This
@@ -20,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .tree import (
+    Band,
     Tree,
     Vertex,
     ancestor,
@@ -36,7 +39,7 @@ class EnumerationError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneralTrapezoid:
+class GeneralTrapezoid(Band):
     """Vertices below `root` with a <= depth < b (a, b need not be integers)."""
 
     root: Vertex
@@ -56,17 +59,11 @@ class GeneralTrapezoid:
         hi = -((-self.b) // 1) - 1  # largest integer < b
         return int(lo), int(hi)
 
-    def contains(self, v: Vertex) -> bool:
-        d = depth_below(v, self.root)
-        if d is None:
-            return False
-        lo, hi = self.depth_range()
-        return lo <= d <= hi
-
 
 @dataclass(frozen=True)
-class AdmissibleTrapezoid:
-    """Either the single vertex {root} (degenerate, h = 1) or the band [h, 2h)."""
+class _ScaledBand(Band):
+    """A band fixed by a root and a height h, or the single vertex {root}
+    when degenerate (then h = 1)."""
 
     root: Vertex
     h: int = 1
@@ -74,57 +71,35 @@ class AdmissibleTrapezoid:
 
     def __post_init__(self) -> None:
         if self.degenerate and self.h != 1:
-            raise ValueError("degenerate trapezoids have h = 1")
+            raise ValueError("degenerate sets have h = 1")
         if self.h < 1:
             raise ValueError("height must be >= 1")
+
+    def __str__(self) -> str:
+        deg = " deg" if self.degenerate else ""
+        return f"{self.kind} root={format_vertex(self.root)} h={self.h}{deg}"
+
+
+class AdmissibleTrapezoid(_ScaledBand):
+    """Either the single vertex {root} (degenerate, h = 1) or the band [h, 2h)."""
+
+    kind = "trapezoid"
 
     def depth_range(self) -> tuple[int, int]:
         if self.degenerate:
             return 0, 0
         return self.h, 2 * self.h - 1
 
-    def contains(self, v: Vertex) -> bool:
-        if self.degenerate:
-            return v == self.root
-        d = depth_below(v, self.root)
-        return d is not None and self.h <= d < 2 * self.h
 
-    def __str__(self) -> str:
-        deg = " deg" if self.degenerate else ""
-        return f"trapezoid root={format_vertex(self.root)} h={self.h}{deg}"
-
-
-@dataclass(frozen=True)
-class CZSet:
+class CZSet(_ScaledBand):
     """A Calderon-Zygmund set: {root} if degenerate, else depths ceil(h/2) .. 4h-1."""
 
-    root: Vertex
-    h: int = 1
-    degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        if self.degenerate and self.h != 1:
-            raise ValueError("degenerate CZ sets have h = 1")
-        if self.h < 1:
-            raise ValueError("height must be >= 1")
+    kind = "cz"
 
     def depth_range(self) -> tuple[int, int]:
         if self.degenerate:
             return 0, 0
         return (self.h + 1) // 2, 4 * self.h - 1
-
-    def contains(self, v: Vertex) -> bool:
-        if self.degenerate:
-            return v == self.root
-        d = depth_below(v, self.root)
-        if d is None:
-            return False
-        lo, hi = self.depth_range()
-        return lo <= d <= hi
-
-    def __str__(self) -> str:
-        deg = " deg" if self.degenerate else ""
-        return f"cz root={format_vertex(self.root)} h={self.h}{deg}"
 
 
 TrapezoidLike = GeneralTrapezoid | AdmissibleTrapezoid | CZSet
@@ -144,15 +119,6 @@ def members(tree: Tree, s: TrapezoidLike) -> Iterator[Vertex]:
 def member_count(tree: Tree, s: TrapezoidLike) -> int:
     lo, hi = s.depth_range()
     return sum(tree.m**d for d in range(lo, hi + 1))
-
-
-def trapezoid_members(tree: Tree, t: GeneralTrapezoid, cap: int) -> list[Vertex]:
-    """Members of a general trapezoid; `cap` must dominate b so nothing is cut."""
-    if Fraction(cap) < t.b:
-        raise EnumerationError(
-            f"depth cap {cap} is below the trapezoid bound b={t.b}; enumeration would be incomplete"
-        )
-    return list(members(tree, t))
 
 
 def set_measure(tree: Tree, s: TrapezoidLike) -> Fraction:
@@ -178,56 +144,65 @@ def envelope(r: AdmissibleTrapezoid) -> CZSet:
     return CZSet(r.root, r.h, r.degenerate)
 
 
-def width(tree: Tree, r: AdmissibleTrapezoid) -> Fraction:
-    return tree.weight(r.root)
-
-
 # ---------------------------------------------------------------------------
-# enlargement: vertices within distance < h/4 of a CZ set
+# enlargements, containment and overlap of bands
 # ---------------------------------------------------------------------------
 
 
-def enlargement_reach(s: CZSet) -> int:
-    """Largest integer distance strictly below h/4."""
-    return (s.h - 1) // 4
-
-
-def enlargement_depth_range(s: CZSet) -> tuple[int, int]:
-    """The enlargement is again a depth band below the same root.
+def enlargement(s: CZSet) -> GeneralTrapezoid:
+    """The vertices within distance < h/4 of s: again a band below its root.
 
     Every vertex within distance < h/4 of the set stays below the root:
     the band's top depth is ceil(h/2), walking up d < h/4 steps keeps the
     depth >= ceil(h/2) - (h-1)//4 >= 1, and any path leaving the subtree
     must first climb past the root, which costs more than h/4.  Walking
-    down extends the band symmetrically.  The brute-force distance scan
-    in the test suite confirms this band on explicit windows.
+    down extends the band symmetrically by (h-1)//4, the largest integer
+    distance below h/4.  The brute-force distance scan in the test suite
+    confirms this band on explicit windows.
     """
     lo, hi = s.depth_range()
-    if s.degenerate:
-        return lo, hi
-    reach = enlargement_reach(s)
-    return lo - reach, hi + reach
+    reach = 0 if s.degenerate else (s.h - 1) // 4
+    return GeneralTrapezoid(s.root, lo - reach, hi + reach + 1)
 
 
-def enlargement_contains(s: CZSet, v: Vertex) -> bool:
-    d = depth_below(v, s.root)
-    if d is None:
-        return False
-    lo, hi = enlargement_depth_range(s)
-    return lo <= d <= hi
-
-
-def enlargement_members(tree: Tree, s: CZSet) -> list[Vertex]:
-    lo, hi = enlargement_depth_range(s)
-    out: list[Vertex] = []
-    for d in range(lo, hi + 1):
-        out.extend(tree.descendants_at_depth(s.root, d))
-    return out
+def enlargement_depth_range(s: CZSet) -> tuple[int, int]:
+    return enlargement(s).depth_range()
 
 
 def enlargement_measure(tree: Tree, s: CZSet) -> Fraction:
-    lo, hi = enlargement_depth_range(s)
-    return (hi - lo + 1) * tree.weight(s.root)
+    return set_measure(tree, enlargement(s))
+
+
+def band_within(a: Band, b: Band) -> bool:
+    """Every member of a is a member of b.
+
+    A nonempty band holds whole levels of the subtree below its root, so it
+    fits in b only if that root lies below b's root, at some gap g, and the
+    depths shifted by g stay inside b's band.
+    """
+    lo, hi = a.depth_range()
+    if hi < lo:
+        return True
+    gap = depth_below(a.root, b.root)
+    if gap is None:
+        return False
+    b_lo, b_hi = b.depth_range()
+    return b_lo <= lo + gap and hi + gap <= b_hi
+
+
+def bands_overlap(a: Band, b: Band) -> bool:
+    """a and b share a member.  Bands with incomparable roots lie in disjoint
+    subtrees; otherwise the lower band's depths, shifted by the gap between
+    the roots, must meet the upper band's."""
+    gap = depth_below(a.root, b.root)
+    if gap is None:
+        gap = depth_below(b.root, a.root)
+        if gap is None:
+            return False
+        a, b = b, a
+    lo, hi = a.depth_range()
+    b_lo, b_hi = b.depth_range()
+    return max(lo + gap, b_lo) <= min(hi + gap, b_hi)
 
 
 # ---------------------------------------------------------------------------

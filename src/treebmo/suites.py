@@ -37,16 +37,18 @@ from .sets import (
     CZSet,
     EnumerationError,
     admissible_measure,
+    band_within,
     covering_family,
     covering_index,
     cz_measure,
     cz_supersets,
-    enlargement_members,
+    enlargement,
+    enlargement_measure,
     envelope,
     members,
     smallest_enclosing_cz,
 )
-from .tree import Tree, Vertex, Window, distance, format_vertex
+from .tree import Vertex, Window, distance, format_vertex
 
 SUITES = ("geometry", "sharp", "bmo", "decompose", "lp-ratio")
 
@@ -240,12 +242,10 @@ def suite_geometry(config: RunConfig) -> ConstantsReport:
     oracle_h = 3 if config.m == 2 else 2
     for h in range(1, 9):
         s = CZSet(Vertex(0, ()), h)
-        from .sets import enlargement_measure
-
         ratio = enlargement_measure(tree, s) / cz_measure(tree, s)
         worst = max(worst, ratio)
         if h <= oracle_h:
-            closed = set(enlargement_members(tree, s))
+            closed = set(members(tree, enlargement(s)))
             brute = bf.enlargement_by_bfs(tree, s)
             if closed != brute:
                 rep.violations.append(
@@ -272,7 +272,9 @@ def suite_geometry(config: RunConfig) -> ConstantsReport:
         )
     )
 
-    bad_nest = [n for n in range(21) if not _covering_nested(n)]
+    bad_nest = [
+        n for n in range(21) if not band_within(covering_family(n), covering_family(n + 1))
+    ]
     window6 = Window(Vertex(2, ()), min(4, config.window.depth))
     idx_fail = []
     for x in window6.members(tree):
@@ -329,27 +331,6 @@ def suite_geometry(config: RunConfig) -> ConstantsReport:
         )
     )
     return rep
-
-
-def _set_inside_window(tree: Tree, s: CZSet, window: Window) -> bool:
-    """All members of s lie in the window (band arithmetic, no enumeration)."""
-    from .tree import depth_below
-
-    d = depth_below(s.root, window.root)
-    if d is None:
-        return False
-    lo, hi = s.depth_range()
-    return d + hi <= window.depth
-
-
-def _covering_nested(n: int) -> bool:
-    """Membership depends only on below-ness and depth, so nesting reduces to
-    the depth-band endpoints after the one-level root shift."""
-    a = covering_family(n)
-    b = covering_family(n + 1)
-    lo_a, hi_a = a.depth_range()
-    lo_b, hi_b = b.depth_range()
-    return lo_b <= lo_a + 1 and hi_a + 1 <= hi_b
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +495,7 @@ def suite_bmo(config: RunConfig) -> ConstantsReport:
             shifted = f + FinFunc({v: Fraction(2) for v in slab.members(tree)})
             cap = 4 * max(cz_measure(tree, r1.witness), Fraction(1))
             for s in cz_supersets(tree, f.support(), cap):
-                if not _set_inside_window(tree, s, slab):
+                if not band_within(s, slab):
                     continue
                 shift += 1
                 if not oscillation(tree, f, s, 1).eq_value(

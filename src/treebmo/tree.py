@@ -227,8 +227,24 @@ def vertex_sort_key(v: Vertex):
     return (-level(v), v.anchor, v.word)
 
 
+class Band:
+    """A set of whole levels below a root: the vertices x below `root` with
+    lo <= depth_below(x, root) <= hi, where (lo, hi) = depth_range().
+
+    Every set of the package is one: windows, trapezoids, CZ sets and
+    enlargements.  Subclasses provide `root` and `depth_range()`.
+    """
+
+    def contains(self, v: Vertex) -> bool:
+        d = depth_below(v, self.root)
+        if d is None:
+            return False
+        lo, hi = self.depth_range()
+        return lo <= d <= hi
+
+
 @dataclass(frozen=True)
-class Window:
+class Window(Band):
     """The finite slab of vertices lying at depth 0..depth below root."""
 
     root: Vertex
@@ -238,9 +254,8 @@ class Window:
         if self.depth < 0:
             raise ValueError("window depth must be >= 0")
 
-    def contains(self, v: Vertex) -> bool:
-        d = depth_below(v, self.root)
-        return d is not None and d <= self.depth
+    def depth_range(self) -> tuple[int, int]:
+        return 0, self.depth
 
     def members(self, tree: Tree) -> list[Vertex]:
         out: list[Vertex] = []

@@ -13,7 +13,7 @@ from treebmo.bmo import (
 from treebmo.funcs import FinFunc, oscillation, pairing
 from treebmo.maximal import sharp_field
 from treebmo.randgen import nonzero_function
-from treebmo.sets import CZSet, cz_supersets, members
+from treebmo.sets import CZSet, band_within, cz_supersets, enlargement, members
 from treebmo.tree import Tree, Vertex, Window, distance
 
 T2 = Tree(2)
@@ -179,10 +179,8 @@ class TestHormander:
             return Fraction(1) if distance(y, x) <= d_cut else Fraction(0)
 
         best = Fraction(0)
-        from treebmo.sets import enlargement_members
-
         for s in family:
-            enlarged = set(enlargement_members(T2, s))
+            enlarged = set(members(T2, enlargement(s)))
             mem = list(members(T2, s))
             for y in mem:
                 for z in mem:
@@ -211,3 +209,14 @@ class TestHormander:
         k = KernelWindow.from_mapping(entries, win)
         with pytest.raises(DomainError):
             hormander_constant(T2, k, [CZSet(Vertex(1, ()), 2)])
+
+    def test_escaping_enlargement_rejected(self):
+        # CZSet(O, 5) spans depths 3..19 of the window; its enlargement
+        # reaches depth 20, one level past the window's bottom
+        s = CZSet(O, 5)
+        win = Window(O, 19)
+        assert band_within(s, win) and not band_within(enlargement(s), win)
+        k = KernelWindow.from_mapping({(U, U): Fraction(1)}, win)
+        with pytest.raises(DomainError, match="enlargement"):
+            hormander_constant(T2, k, [s])
+

@@ -174,3 +174,28 @@ def test_malformed_function_exit_two(tmp_path, capsys, data):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [{"y": "0:", "x": "0:", "val": "1"}],
+        {"entries": []},
+        {"window": "root=2:,depth=3"},
+        {"window": 5, "entries": []},
+        {"window": "root=2:,depth=3", "entries": {"y": "0:"}},
+        {"window": "root=2:,depth=3", "entries": ["0:"]},
+        {"window": "root=2:,depth=3", "entries": [{"y": "0:"}]},
+        {"window": "root=2:,depth=3", "entries": [{"x": "0:", "val": "1"}]},
+        {"window": "root=2:,depth=3", "entries": [{"y": "0:", "x": "0:"}]},
+        {"window": "root=2:,depth=3", "entries": [{"y": 0, "x": "0:", "val": "1"}]},
+        {"window": "root=2:,depth=3", "entries": [{"y": "0:", "x": [], "val": "1"}]},
+    ],
+)
+def test_malformed_kernel_exit_two(tmp_path, capsys, data):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(data))
+    code = main(["hormander", "--kernel", str(path), "--h-max", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,10 +1,11 @@
-"""Byte-level pins of the certified candidate streams.
+"""Byte-level pins of the certified candidate streams and the decompositions.
 
 Each case serialises seeded calls with `jsonio` and compares the sha256 of
 the text with a digest recorded from a known-good implementation.  A change
 to any value, witness, certificate field (`sets_evaluated` included), the
-level-set contents or the order in which `cz_supersets` yields its sets
-changes a digest.  Refactors of the streams must keep every digest.
+level-set contents, the order in which `cz_supersets` yields its sets, or
+the trapezoids a good/bad split selects changes a digest.  Refactors of the
+streams and of the set geometry must keep every digest.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 
 from treebmo import jsonio
 from treebmo.bmo import bmo_norm
+from treebmo.hardy import _ceil_log2, good_bad_split, telescoping_h1_upper
 from treebmo.maximal import (
     centered_sharp_maximal,
     hl_maximal,
@@ -30,6 +32,16 @@ SETTINGS = (
     (Tree(3), Window(Vertex(1, ()), 3), Fraction(40)),
 )
 SEEDS = range(6)
+# good/bad splits: the Criterion-10 shapes, q in {2, 3}, one and two scales
+# below the top, on the SETTINGS windows
+SPLIT_KINDS = ("rademacher", "atom-combo")
+SPLIT_SEEDS = range(3)
+# telescoping decompositions of atom-combo functions: (tree, window, exponents)
+TELESCOPING = (
+    (Tree(2), Window(Vertex(2, ()), 1), (2, 3)),
+    (Tree(2), Window(Vertex(2, ()), 2), (2,)),
+    (Tree(3), Window(Vertex(1, ()), 1), (2, 3)),
+)
 
 
 def _inputs():
@@ -48,6 +60,25 @@ def _maximal_map(tree, fn, probes):
 
 def _payload(name: str) -> list:
     out = []
+    if name == "good_bad_split":
+        for tree, window, _ in SETTINGS:
+            for kind in SPLIT_KINDS:
+                for seed in SPLIT_SEEDS:
+                    g = nonzero_function(tree, window, seed, kind)
+                    top = _ceil_log2(g.max_abs())
+                    for q in (2, 3):
+                        for below in (1, 2):
+                            split = good_bad_split(tree, g, q, top - below)
+                            out.append(jsonio.split_json(tree, split))
+        return out
+    if name == "telescoping_h1_upper":
+        for tree, window, exponents in TELESCOPING:
+            for seed in SEEDS:
+                g = nonzero_function(tree, window, seed, "atom-combo")
+                for q in exponents:
+                    res = telescoping_h1_upper(tree, g, q)
+                    out.append(jsonio.telescoping_json(tree, res))
+        return out
     for tree, f, probes, cap in _inputs():
         phi = abs(f)
         if name == "bmo_norm":
@@ -109,6 +140,14 @@ DIGESTS = {
     "cz_supersets": (
         "1f3ce41b39144f4fd9e6a9eb1c8f129e"
         "5ee4ce1fcc87a7d46121701d67368ec6"
+    ),
+    "good_bad_split": (
+        "bc3a9baf3797772fad70d5f9f92934eb"
+        "557b0123c547877fed4f03b704297258"
+    ),
+    "telescoping_h1_upper": (
+        "29b5b1b3ca9de021f7fa47cad3972230"
+        "bbf60ce8750a9872b87d00afc44f9f6c"
     ),
 }
 

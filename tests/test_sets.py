@@ -11,13 +11,15 @@ from treebmo.bruteforce import (
 from treebmo.sets import (
     AdmissibleTrapezoid,
     CZSet,
-    EnumerationError,
     GeneralTrapezoid,
     admissible_measure,
+    band_within,
+    bands_overlap,
     covering_family,
     covering_index,
     cz_measure,
     cz_supersets,
+    enlargement,
     enlargement_depth_range,
     enlargement_measure,
     envelope,
@@ -25,10 +27,8 @@ from treebmo.sets import (
     members,
     set_measure,
     smallest_enclosing_cz,
-    trapezoid_members,
-    width,
 )
-from treebmo.tree import Tree, Vertex, Window, distance
+from treebmo.tree import Tree, Vertex, Window, distance, father
 
 T2 = Tree(2)
 T3 = Tree(3)
@@ -42,17 +42,13 @@ def mass(tree, s):
 class TestGeneralTrapezoid:
     def test_one_level(self):
         t = GeneralTrapezoid(O, 1, 2)
-        assert set(trapezoid_members(T2, t, 4)) == set(T2.children(O))
+        assert set(members(T2, t)) == set(T2.children(O))
 
     def test_root_only(self):
-        assert trapezoid_members(T2, GeneralTrapezoid(O, 0, 1), 1) == [O]
+        assert list(members(T2, GeneralTrapezoid(O, 0, 1))) == [O]
 
     def test_two_levels(self):
-        assert len(trapezoid_members(T2, GeneralTrapezoid(O, 1, 3), 3)) == 6
-
-    def test_cap_too_small(self):
-        with pytest.raises(EnumerationError):
-            trapezoid_members(T2, GeneralTrapezoid(O, 1, 3), 2)
+        assert len(list(members(T2, GeneralTrapezoid(O, 1, 3)))) == 6
 
     def test_fractional_bounds(self):
         t = GeneralTrapezoid(O, Fraction(1, 2), Fraction(5, 2))
@@ -84,7 +80,7 @@ class TestAdmissibleTrapezoid:
             for h in range(1, 5):
                 r = AdmissibleTrapezoid(root, h)
                 assert mass(tree, r) == admissible_measure(tree, r)
-                assert admissible_measure(tree, r) == h * width(tree, r)
+                assert admissible_measure(tree, r) == h * tree.weight(root)
 
 
 class TestEnvelope:
@@ -175,6 +171,49 @@ class TestEnlargement:
         for h in range(1, 9):
             s = CZSet(Vertex(1, ()), h)
             assert enlargement_measure(tree, s) <= 2 * cz_measure(tree, s)
+
+
+class TestBandGeometry:
+    """Band.contains, band_within and bands_overlap against enumerated member
+    sets, over every pair of a small exhaustive family of bands."""
+
+    WINDOW = Window(Vertex(1, ()), 3)
+    # a CZ set of height 3 on Tree(3) has ~265k members, too many to enumerate
+    # once per root
+    CZ_HEIGHTS = {2: 3, 3: 2}
+
+    def family(self, tree):
+        out = []
+        for root in self.WINDOW.members(tree):
+            out.append(AdmissibleTrapezoid(root, 1, degenerate=True))
+            out.extend(AdmissibleTrapezoid(root, h) for h in range(1, 4))
+            czs = [CZSet(root, 1, degenerate=True)]
+            czs.extend(CZSet(root, h) for h in range(1, self.CZ_HEIGHTS[tree.m] + 1))
+            out.extend(czs)
+            out.extend(enlargement(s) for s in czs)
+        out.extend([self.WINDOW, Window(O, 2), Window(Vertex(2, ()), 4), Window(Vertex(0, (1,)), 1)])
+        return out
+
+    @pytest.mark.parametrize("tree", [T2, T3])
+    def test_contains(self, tree):
+        # every member, a slab reaching outside the window, and the level
+        # under one bottom member
+        slab = set(Window(father(self.WINDOW.root), self.WINDOW.depth + 2).members(tree))
+        for s in self.family(tree):
+            mem = set(members(tree, s))
+            _, hi = s.depth_range()
+            below = tree.children(next(tree.descendants_at_depth(s.root, hi)))
+            for v in mem | slab | set(below):
+                assert s.contains(v) == (v in mem), (s, v)
+
+    @pytest.mark.parametrize("tree", [T2, T3])
+    def test_within_and_overlap(self, tree):
+        fam = self.family(tree)
+        mems = [frozenset(members(tree, s)) for s in fam]
+        for a, ma in zip(fam, mems):
+            for b, mb in zip(fam, mems):
+                assert band_within(a, b) == (ma <= mb), (a, b)
+                assert bands_overlap(a, b) == (not ma.isdisjoint(mb)), (a, b)
 
 
 class TestCovering:
