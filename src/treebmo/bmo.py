@@ -128,6 +128,15 @@ def hormander_constant(
     the declared x-support the integrand vanishes, so the complement
     integral is a finite sum.  Every set, its enlargement, and the kernel
     support must fit the declared window.
+
+    Only the kernel rows restricted to the complement matter, and every
+    member whose restricted row vanishes carries the zero row, so the sup
+    over member pairs is a sup over the distinct restricted rows plus the
+    zero row: O(k^2) in the k kernel rows inside S.  The pairs evaluated
+    are every pair of nonzero rows and, for each nonzero row, its pair with
+    the first zero-row member; later zero-row pairs repeat that value and
+    zero-zero pairs vanish, so visiting these pairs in (y, z) member order
+    with a strict > gives the value and witness of a scan of all pairs.
     """
     win = kernel.window
     for x in kernel.x_support():
@@ -145,19 +154,29 @@ def hormander_constant(
             raise DomainError(f"enlargement of {s} escapes the declared window")
         if member_count(tree, s) > 200_000:
             raise DomainError(f"{s} is too large to scan pairwise")
-        mem = sorted(members(tree, s), key=lambda v: (v.anchor, v.word))
-        enlarged = set(members(tree, grown))
-        for i, y in enumerate(mem):
-            row_y = rows.get(y, {})
-            for z in mem[i + 1 :]:
-                row_z = rows.get(z, {})
-                total = Fraction(0)
-                for x in set(row_y) | set(row_z):
-                    if x in enlarged:
-                        continue
-                    diff = row_y.get(x, Fraction(0)) - row_z.get(x, Fraction(0))
-                    if diff:
-                        total += abs(diff) * tree.weight(x)
-                if total > best:
-                    best, best_set, best_pair = total, s, (y, z)
+        # each member's kernel row off the enlargement, where it is nonzero
+        restricted = {}
+        for y, row in rows.items():
+            if s.contains(y):
+                r = {x: v for x, v in row.items() if v and not grown.contains(x)}
+                if r:
+                    restricted[y] = r
+        if not restricted:
+            continue
+        # Vertex tuples order as (anchor, word), the member order of the pairs
+        ys = sorted(restricted)
+        pairs = [(y, z) for i, y in enumerate(ys) for z in ys[i + 1 :]]
+        zero = min((v for v in members(tree, s) if v not in restricted), default=None)
+        if zero is not None:
+            pairs += [(zero, y) if zero < y else (y, zero) for y in ys]
+        for y, z in sorted(pairs):
+            row_y = restricted.get(y, {})
+            row_z = restricted.get(z, {})
+            total = Fraction(0)
+            for x in row_y.keys() | row_z.keys():
+                diff = row_y.get(x, 0) - row_z.get(x, 0)
+                if diff:
+                    total += abs(diff) * tree.weight(x)
+            if total > best:
+                best, best_set, best_pair = total, s, (y, z)
     return HormanderResult(best, best_set, best_pair, len(family))

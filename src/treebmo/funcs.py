@@ -10,7 +10,8 @@ Norms that are intrinsically algebraic stay exact:
 * any other exponent goes through floats and is flagged approximate.
 
 `NormValue` encapsulates that representation and makes comparisons between
-exact values decidable (nonnegative quantities compare through their squares).
+exact values decidable (nonnegative quantities compare through their squares,
+or directly when both carry the same degree).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .sets import TrapezoidLike, set_measure
 from .tree import Tree, Vertex
@@ -148,7 +149,11 @@ class NormValue:
 
     def _cmp(self, other: "NormValue") -> int:
         if self.exact and other.exact:
-            a, b = self.sq, other.sq
+            # radicands are >= 0, so equal degrees compare as their radicands
+            if self.degree == other.degree:
+                a, b = self.radicand, other.radicand
+            else:
+                a, b = self.sq, other.sq
         else:
             a, b = self.as_float(), other.as_float()
         return (a > b) - (a < b)
@@ -418,30 +423,37 @@ def oscillation(tree: Tree, f: FinFunc, s: TrapezoidLike, q) -> NormValue:
     return NormValue.approximate((num / _frac_to_float(mu)) ** (1.0 / qf))
 
 
-def oscillation_bound_holds(
-    tree: Tree, f: FinFunc, q, mu: Fraction, best: NormValue
-) -> bool:
-    """True if the a-priori bound on any q-oscillation over a set of measure
-    >= mu already fails to exceed `best`:
+def oscillation_bound(tree: Tree, f: FinFunc, q) -> Callable[[Fraction, NormValue], bool]:
+    """The test `holds(mu, best)`: True if the a-priori bound on any
+    q-oscillation over a set of measure >= mu already fails to exceed `best`:
 
         oscillation <= (||f||_q^q / mu)^(1/q) + ||f||_1 / mu
 
     (triangle inequality against the zero function plus the mean bound).
-    Used to certify enumeration cutoffs; exact for q in {1, 2}.
+    The norms of f are computed once, here.  Used to certify enumeration
+    cutoffs; exact for q in {1, 2}.
     """
     q = Exponent.of(q)
     l1 = lp_power(tree, f, 1)
     if q.value == 1:
-        if not best.exact:
-            return float(2 * l1 / mu) <= best.as_float()
-        return NormValue.exact1(2 * l1 / mu) <= best
-    if q.value == 2 and best.exact:
-        a = lp_power(tree, f, 2) / mu
-        return sqrt_plus_le(a, l1 / mu, best.sq)
+
+        def holds(mu: Fraction, best: NormValue) -> bool:
+            if not best.exact:
+                return float(2 * l1 / mu) <= best.as_float()
+            return NormValue.exact1(2 * l1 / mu) <= best
+
+        return holds
+    l2 = lp_power(tree, f, 2) if q.value == 2 else None
     qf = float(q)
     lq = sum(
         abs(_frac_to_float(val)) ** qf * _frac_to_float(tree.weight(v))
         for v, val in f.items()
     )
-    bound = (lq / _frac_to_float(mu)) ** (1.0 / qf) + _frac_to_float(l1 / mu)
-    return bound <= best.as_float()
+
+    def holds(mu: Fraction, best: NormValue) -> bool:
+        if l2 is not None and best.exact:
+            return sqrt_plus_le(l2 / mu, l1 / mu, best.sq)
+        bound = (lq / _frac_to_float(mu)) ** (1.0 / qf) + _frac_to_float(l1 / mu)
+        return bound <= best.as_float()
+
+    return holds

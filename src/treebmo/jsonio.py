@@ -28,7 +28,10 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 def norm_json(n: NormValue) -> dict:

@@ -30,7 +30,7 @@ from .funcs import (
     _frac_to_float,
     lp_power,
     oscillation,
-    oscillation_bound_holds,
+    oscillation_bound,
 )
 from .sets import (
     AdmissibleTrapezoid,
@@ -235,13 +235,12 @@ def sup_over_cz(
     best = ArgMax(tree, NormValue.zero(), CZSet(starts[0], 1, degenerate=True))
     evaluated = 1
     floor: Fraction | None = None
+    bound_holds = oscillation_bound(tree, f, q)
 
     def keep(u: Vertex, t: int) -> bool:
         nonlocal floor
         mu_min = _cz_mu_min(tree, level(u), t)
-        if best.value.is_zero() or not oscillation_bound_holds(
-            tree, f, q, mu_min, best.value
-        ):
+        if best.value.is_zero() or not bound_holds(mu_min, best.value):
             return True
         floor = mu_min if floor is None else min(floor, mu_min)
         return False
@@ -271,9 +270,22 @@ def _sharp_at(
     return MaximalResult(best.value, best.witness, certificate)
 
 
-def sharp_maximal(tree: Tree, f: FinFunc, q, x: Vertex) -> MaximalResult:
-    """Sup of q-oscillations of f over CZ sets containing x; exact for q in {1, 2}."""
-    return _sharp_at(tree, f, q, x, lambda s: oscillation(tree, f, s, q))
+def sharp_maximal(
+    tree: Tree, f: FinFunc, q, x: Vertex, *, _memo: dict | None = None
+) -> MaximalResult:
+    """Sup of q-oscillations of f over CZ sets containing x; exact for q in {1, 2}.
+
+    `sharp_field` passes every point the same `_memo` (CZ set -> oscillation).
+    """
+    memo = {} if _memo is None else _memo
+
+    def value(s: CZSet) -> NormValue:
+        val = memo.get(s)
+        if val is None:
+            val = memo[s] = oscillation(tree, f, s, q)
+        return val
+
+    return _sharp_at(tree, f, q, x, value)
 
 
 def centered_sharp_maximal(tree: Tree, f: FinFunc, q, x: Vertex) -> MaximalResult:
@@ -352,8 +364,11 @@ def sharp_field(
 ) -> dict[Vertex, MaximalResult]:
     """Pointwise sharp maximal function on a window or explicit vertex list.
 
-    Each point is an independent `sharp_maximal` call, so the result does
-    not depend on the order of the points.
+    Each point is one `sharp_maximal` call.  The calls share one memo of
+    set oscillations, so a CZ set containing several points is evaluated
+    once; a memoised value is the value itself, so the result does not
+    depend on the order of the points.
     """
     points = where.members(tree) if isinstance(where, Window) else list(where)
-    return {v: sharp_maximal(tree, f, q, v) for v in points}
+    memo: dict[CZSet, NormValue] = {}
+    return {v: sharp_maximal(tree, f, q, v, _memo=memo) for v in points}

@@ -38,6 +38,9 @@ class Vertex(NamedTuple):
 
 ORIGIN = Vertex(0, ())
 
+# (m, level) -> m**level: Fractions are immutable, so every tree shares them
+_POWERS: dict[tuple[int, int], Fraction] = {}
+
 
 @dataclass(frozen=True)
 class Tree:
@@ -107,10 +110,13 @@ class Tree:
 
     def weight(self, v: Vertex) -> Fraction:
         """mu({v}) = m**level(v), exact (a unit fraction for negative levels)."""
-        return Fraction(self.m) ** level(v)
+        return self.level_weight(level(v))
 
     def level_weight(self, lvl: int) -> Fraction:
-        return Fraction(self.m) ** lvl
+        w = _POWERS.get((self.m, lvl))
+        if w is None:
+            w = _POWERS[self.m, lvl] = Fraction(self.m) ** lvl
+        return w
 
     def ball(self, v: Vertex, r: int) -> list[Vertex]:
         """All vertices at distance <= r from v (closed ball), by BFS."""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,54 @@ S1 = CZSet(O, 1)
 CHI_U = FinFunc.indicator(U)
 ATOM = FinFunc({U: Fraction(1, 3), V: Fraction(-1, 3)})
 WINDOW = Window(Vertex(2, ()), 4)
+
+
+def _tie_kernel(window, seed, n_rows):
+    """Seeded rows at n_rows vertices of the window (the other members of a
+    set have none): a sparse random row, a copy of the previous row, a row
+    on y and its children, inside the enlargement of every set holding
+    them, or a single unit entry, whose values tie often."""
+    rng = random.Random(f"{seed}:tie-kernel")
+    pts = window.members(T2)
+    entries = {}
+    row = {}
+    for k, y in enumerate(rng.sample(pts, n_rows)):
+        shape = rng.choice(("sparse", "copy", "local", "unit"))
+        if shape == "sparse" or not row:
+            row = dict(nonzero_function(T2, window, seed, "sparse", k).items())
+        elif shape == "local":
+            xs = [x for x in (y, *T2.children(y)) if window.contains(x)]
+            row = {x: Fraction(rng.randint(1, 3)) for x in xs}
+        elif shape == "unit":
+            row = {rng.choice(pts): Fraction(1)}
+        for x, val in row.items():
+            entries[(y, x)] = val
+    return KernelWindow.from_mapping(entries, window)
+
+
+def _all_pairs_scan(kernel, family):
+    """(value, witness set, witness pair) of a strict-> scan over every
+    member pair (y, z), y before z in (anchor, word) order."""
+    rows = kernel.rows()
+    best, best_set, best_pair = Fraction(0), None, None
+    for s in family:
+        enlarged = set(members(T2, enlargement(s)))
+        mem = sorted(members(T2, s), key=lambda v: (v.anchor, v.word))
+        for i, y in enumerate(mem):
+            ry = rows.get(y, {})
+            for z in mem[i + 1 :]:
+                rz = rows.get(z, {})
+                total = sum(
+                    (
+                        abs(ry.get(x, 0) - rz.get(x, 0)) * T2.weight(x)
+                        for x in ry.keys() | rz.keys()
+                        if x not in enlarged
+                    ),
+                    Fraction(0),
+                )
+                if total > best:
+                    best, best_set, best_pair = total, s, (y, z)
+    return best, best_set, best_pair
 
 
 class TestBmoNorm:
@@ -195,6 +244,42 @@ class TestHormander:
                     best = max(best, total)
         assert got.value == best
         assert got.value > 0
+
+    @pytest.mark.parametrize(
+        "window, n_rows",
+        # sparse rows in a large family; dense rows, so that a row's member
+        # often precedes every member without a row; a row on every member
+        [
+            (Window(Vertex(4, ()), 7), 12),
+            (Window(Vertex(2, ()), 4), 20),
+            (Window(Vertex(2, ()), 4), 31),
+        ],
+    )
+    def test_tie_kernels_match_all_pairs_scan(self, window, n_rows):
+        family = bf.cz_in_window(T2, window, 2)
+        for seed in range(8):
+            k = _tie_kernel(window, seed, n_rows)
+            got = hormander_constant(T2, k, family)
+            want = _all_pairs_scan(k, family)
+            assert (got.value, got.witness_set, got.witness_pair) == want
+
+    def test_pair_order_on_hand_made_ties(self):
+        # a row on the first member only, so it pairs with the next member;
+        # then rows on the second and third members whose pair ties with both
+        # of their pairs with the first member: the first pair wins
+        s = CZSet(O, 1)
+        m = sorted(members(T2, s))
+        win = Window(Vertex(1, ()), 4)
+        x1, x2 = O, Vertex(1, (1,))  # outside s, both of weight 1
+        cases = [
+            ({(m[0], x1): 1}, (m[0], m[1]), 1),
+            ({(m[1], x1): 1, (m[1], x2): 1, (m[2], x1): 1, (m[2], x2): -1}, (m[0], m[1]), 2),
+        ]
+        for entries, pair, value in cases:
+            k = KernelWindow.from_mapping(entries, win)
+            got = hormander_constant(T2, k, [s])
+            assert (got.value, got.witness_pair) == (value, pair)
+            assert (got.value, got.witness_set, got.witness_pair) == _all_pairs_scan(k, [s])
 
     def test_escaping_kernel_rejected(self):
         win = Window(Vertex(1, ()), 2)

@@ -165,6 +165,7 @@ def test_missing_file_exit_two(capsys):
         [{"val": "1"}],
         [{"v": "0:1"}],
         [{"v": 5, "val": "1"}],
+        [{"v": "0:1", "val": "1/0"}],
     ],
 )
 def test_malformed_function_exit_two(tmp_path, capsys, data):
@@ -190,6 +191,7 @@ def test_malformed_function_exit_two(tmp_path, capsys, data):
         {"window": "root=2:,depth=3", "entries": [{"y": "0:", "x": "0:"}]},
         {"window": "root=2:,depth=3", "entries": [{"y": 0, "x": "0:", "val": "1"}]},
         {"window": "root=2:,depth=3", "entries": [{"y": "0:", "x": [], "val": "1"}]},
+        {"window": "root=2:,depth=3", "entries": [{"y": "0:", "x": "0:", "val": "1/0"}]},
     ],
 )
 def test_malformed_kernel_exit_two(tmp_path, capsys, data):

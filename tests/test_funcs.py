@@ -15,7 +15,7 @@ from treebmo.funcs import (
     lp_power,
     norm_le_sum,
     oscillation,
-    oscillation_bound_holds,
+    oscillation_bound,
     pairing,
     sqrt_plus_le,
 )
@@ -200,8 +200,8 @@ class TestAverageOscillation:
                 assert not _sqrt_plus_lt(l2 / mu, l1 / mu, osc2.sq)
                 # and the cutoff predicate can never discard a beatable set
                 if not osc2.is_zero():
-                    assert not oscillation_bound_holds(
-                        T2, f, 2, mu, osc2.scaled(Fraction(9999, 10000))
+                    assert not oscillation_bound(T2, f, 2)(
+                        mu, osc2.scaled(Fraction(9999, 10000))
                     )
 
 

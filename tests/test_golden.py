@@ -3,23 +3,27 @@
 Each case serialises seeded calls with `jsonio` and compares the sha256 of
 the text with a digest recorded from a known-good implementation.  A change
 to any value, witness, certificate field (`sets_evaluated` included), the
-level-set contents, the order in which `cz_supersets` yields its sets, or
-the trapezoids a good/bad split selects changes a digest.  Refactors of the
-streams and of the set geometry must keep every digest.
+level-set contents, the order in which `cz_supersets` yields its sets, the
+trapezoids a good/bad split selects, or a Hörmander constant's witness set
+and pair changes a digest.  Refactors of the streams and of the set
+geometry must keep every digest.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from treebmo import jsonio
-from treebmo.bmo import bmo_norm
+from treebmo.bmo import KernelWindow, bmo_norm, hormander_constant
+from treebmo.bruteforce import cz_in_window
 from treebmo.hardy import _ceil_log2, good_bad_split, telescoping_h1_upper
 from treebmo.maximal import (
     centered_sharp_maximal,
     hl_maximal,
     maximal_level_set,
+    sharp_field,
     sharp_maximal,
 )
 from treebmo.randgen import KINDS, nonzero_function
@@ -42,6 +46,36 @@ TELESCOPING = (
     (Tree(2), Window(Vertex(2, ()), 2), (2,)),
     (Tree(3), Window(Vertex(1, ()), 1), (2, 3)),
 )
+# sharp fields of functions drawn on the SETTINGS windows, over these windows
+FIELD_WINDOWS = (Window(Vertex(3, ()), 3), Window(Vertex(2, ()), 2))
+FIELD_SEEDS = range(2)
+# Hörmander constants: (tree, kernel window, h_max) of the family of every CZ
+# set rooted in the window with its members inside it
+HORMANDER = (
+    (Tree(2), Window(Vertex(4, ()), 7), 2),
+    (Tree(3), Window(Vertex(2, ()), 4), 1),
+)
+HORMANDER_SEEDS = range(8)
+KERNEL_ROWS = 12
+
+
+def _tie_kernel(tree, window, seed):
+    """Seeded rows at KERNEL_ROWS vertices (the other members have none):
+    a sparse random row, a copy of the previous row, or a row on y and its
+    children, which lies inside the enlargement of every set holding them."""
+    rng = random.Random(f"{seed}:tie-kernel")
+    entries = {}
+    row = {}
+    for k, y in enumerate(rng.sample(window.members(tree), KERNEL_ROWS)):
+        shape = rng.choice(("sparse", "copy", "local"))
+        if shape == "sparse" or not row:
+            row = dict(nonzero_function(tree, window, seed, "sparse", k).items())
+        elif shape == "local":
+            xs = [x for x in (y, *tree.children(y)) if window.contains(x)]
+            row = {x: Fraction(rng.randint(1, 3)) for x in xs}
+        for x, val in row.items():
+            entries[(y, x)] = val
+    return KernelWindow.from_mapping(entries, window)
 
 
 def _inputs():
@@ -78,6 +112,27 @@ def _payload(name: str) -> list:
                 for q in exponents:
                     res = telescoping_h1_upper(tree, g, q)
                     out.append(jsonio.telescoping_json(tree, res))
+        return out
+    if name == "hormander_constant":
+        for tree, window, h_max in HORMANDER:
+            family = cz_in_window(tree, window, h_max)
+            diagonal = KernelWindow.from_mapping(
+                {(y, y): Fraction(1) for y in window.members(tree)}, window
+            )
+            kernels = [_tie_kernel(tree, window, seed) for seed in HORMANDER_SEEDS]
+            for k in [diagonal, *kernels]:
+                out.append(jsonio.hormander_json(tree, hormander_constant(tree, k, family)))
+        return out
+    if name == "sharp_field":
+        for (tree, window, _), field in zip(SETTINGS, FIELD_WINDOWS):
+            for kind in KINDS:
+                for seed in FIELD_SEEDS:
+                    f = nonzero_function(tree, window, seed, kind)
+                    for q in (1, 2):
+                        res = sharp_field(tree, f, q, field)
+                        out.append(
+                            {format_vertex(x): jsonio.maximal_json(tree, r) for x, r in res.items()}
+                        )
         return out
     for tree, f, probes, cap in _inputs():
         phi = abs(f)
@@ -144,6 +199,14 @@ DIGESTS = {
     "good_bad_split": (
         "bc3a9baf3797772fad70d5f9f92934eb"
         "557b0123c547877fed4f03b704297258"
+    ),
+    "hormander_constant": (
+        "e434faf97aae443b0583d284bc068f5c"
+        "4404ddbb39107b859d9f359d9dc98ca4"
+    ),
+    "sharp_field": (
+        "7482c0503175f52e68bf09f5aa9935da"
+        "3a2a904151edb39608d43b2ef95eb74d"
     ),
     "telescoping_h1_upper": (
         "29b5b1b3ca9de021f7fa47cad3972230"

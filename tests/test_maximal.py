@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import treebmo.bruteforce as bf
+from treebmo import maximal
 from treebmo.funcs import FinFunc, average, lp_power, oscillation
 from treebmo.maximal import (
     best_constant_oscillation,
@@ -188,6 +190,27 @@ class TestSharpField:
             for x in base:
                 assert other[x].value.eq_value(base[x].value)
                 assert other[x].witness == base[x].witness
+
+    def test_each_cz_set_evaluated_once(self, monkeypatch):
+        f = nonzero_function(T2, WINDOW, 31, "sparse", 0)
+        calls = Counter()
+        points = []
+
+        def counted_oscillation(tree, g, s, q):
+            calls[s] += 1
+            return oscillation(tree, g, s, q)
+
+        def recorded_sharp_maximal(tree, g, q, x, **kw):
+            points.append(x)
+            return sharp_maximal(tree, g, q, x, **kw)
+
+        monkeypatch.setattr(maximal, "oscillation", counted_oscillation)
+        monkeypatch.setattr(maximal, "sharp_maximal", recorded_sharp_maximal)
+        field = sharp_field(T2, f, 1, WINDOW)
+        # every point is one sharp_maximal call; the points share the sets
+        assert points == WINDOW.members(T2)
+        assert calls and max(calls.values()) == 1
+        assert sum(r.certificate.sets_evaluated for r in field.values()) > len(calls)
 
     def test_max_of_field_is_witness_oscillation(self):
         f = CHI_U
