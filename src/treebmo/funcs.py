@@ -3,7 +3,8 @@ Lp norms, averages and oscillations.
 
 Scalars are real rationals: every inequality this package checks is about
 absolute values, so complex data would only obscure the exactness story.
-Norms that are intrinsically algebraic stay exact:
+Norms that are intrinsically algebraic stay exact.  `lq_mean` is the one
+place that rule is written:
 
 * p = 1 and p = infinity are rational numbers,
 * p = 2 is carried as its exact square and compared on squares,
@@ -357,35 +358,53 @@ def lp_power(tree: Tree, f: FinFunc, q: int) -> Fraction:
     return sum((abs(val) ** q * tree.weight(v) for v, val in f.items()), Fraction(0))
 
 
+def lq_mean(pairs: list[tuple[Fraction, Fraction]], c, mu, q) -> NormValue:
+    """The Lq mean of |f - c| over a set of measure mu.
+
+    f takes value v on weight w for each (v, w) in pairs and is zero on the
+    remaining measure mu - sum(w); q = inf gives max |v - c| over the pairs.
+    c and mu are rationals.  This is the one place an exponent decides
+    exactness: an exact rational for q in {1, inf}, an exact square root
+    for q = 2, a flagged float (rel. err <= 1e-12) otherwise.
+    """
+    q = Exponent.of(q)
+    if q.is_inf:
+        return NormValue.exact1(max((abs(v - c) for v, _ in pairs), default=Fraction(0)))
+    # f - c is -c off the pairs; c = 0 needs no weight total
+    rest = mu - sum((w for _, w in pairs), Fraction(0)) if c else 0
+    if q.value == 1:
+        num = sum((abs(v - c) * w for v, w in pairs), Fraction(0))
+        return NormValue.exact1((num + abs(c) * rest) / mu)
+    if q.value == 2:
+        num = sum(((v - c) ** 2 * w for v, w in pairs), Fraction(0))
+        return NormValue.exact_sqrt((num + c * c * rest) / mu)
+    qf = float(q)
+    cf = _frac_to_float(c)
+    num = sum(abs(_frac_to_float(v) - cf) ** qf * _frac_to_float(w) for v, w in pairs)
+    num += abs(cf) ** qf * _frac_to_float(rest)
+    return NormValue.approximate((num / _frac_to_float(mu)) ** (1.0 / qf))
+
+
 def lp_norm(tree: Tree, f: FinFunc, p) -> NormValue:
-    """Lp norm: exact for p in {1, 2, inf}; approximate (rel. err <= 1e-12) otherwise."""
-    p = Exponent.of(p)
-    if p.is_inf:
-        return NormValue.exact1(f.max_abs())
-    if p.value == 1:
-        return NormValue.exact1(lp_power(tree, f, 1))
-    if p.value == 2:
-        return NormValue.exact_sqrt(lp_power(tree, f, 2))
-    pf = float(p)
-    total = sum(
-        abs(_frac_to_float(val)) ** pf * _frac_to_float(tree.weight(v))
-        for v, val in f.items()
-    )
-    return NormValue.approximate(total ** (1.0 / pf))
+    """Lp norm; exact for p in {1, 2, inf}, see `lq_mean`."""
+    return lq_mean([(val, tree.weight(v)) for v, val in f.items()], 0, 1, p)
 
 
-def integral_over(tree: Tree, f: FinFunc, s: TrapezoidLike) -> Fraction:
-    return sum(
-        (val * tree.weight(v) for v, val in f.items() if s.contains(v)), Fraction(0)
-    )
+def on_set(
+    tree: Tree, f: FinFunc, s: TrapezoidLike
+) -> tuple[list[tuple[Fraction, Fraction]], Fraction]:
+    """(value, weight) of f at its support vertices in s, and the measure of s,
+    which must be positive."""
+    mu = set_measure(tree, s)
+    if mu <= 0:
+        raise ZeroMeasureError(f"cannot average over a set of measure {mu}")
+    return [(val, tree.weight(v)) for v, val in f.items() if s.contains(v)], mu
 
 
 def average(tree: Tree, f: FinFunc, s: TrapezoidLike) -> Fraction:
     """Exact average of f over the set; the set must have positive measure."""
-    mu = set_measure(tree, s)
-    if mu <= 0:
-        raise ZeroMeasureError(f"cannot average over a set of measure {mu}")
-    return integral_over(tree, f, s) / mu
+    pairs, mu = on_set(tree, f, s)
+    return sum((v * w for v, w in pairs), Fraction(0)) / mu
 
 
 def oscillation(tree: Tree, f: FinFunc, s: TrapezoidLike, q) -> NormValue:
@@ -397,30 +416,8 @@ def oscillation(tree: Tree, f: FinFunc, s: TrapezoidLike, q) -> NormValue:
     q = Exponent.of(q)
     if q.is_inf:
         raise ValueError("oscillation requires a finite exponent")
-    mu = set_measure(tree, s)
-    if mu <= 0:
-        raise ZeroMeasureError("oscillation over a set of measure zero")
-    inside = [(v, val) for v, val in f.items() if s.contains(v)]
-    w_in = sum((tree.weight(v) for v, _ in inside), Fraction(0))
-    avg = sum((val * tree.weight(v) for v, val in inside), Fraction(0)) / mu
-    if q.value == 1:
-        num = sum((abs(val - avg) * tree.weight(v) for v, val in inside), Fraction(0))
-        num += abs(avg) * (mu - w_in)
-        return NormValue.exact1(num / mu)
-    if q.value == 2:
-        num = sum(
-            ((val - avg) ** 2 * tree.weight(v) for v, val in inside), Fraction(0)
-        )
-        num += avg**2 * (mu - w_in)
-        return NormValue.exact_sqrt(num / mu)
-    qf = float(q)
-    avg_f = _frac_to_float(avg)
-    num = sum(
-        abs(_frac_to_float(val) - avg_f) ** qf * _frac_to_float(tree.weight(v))
-        for v, val in inside
-    )
-    num += abs(avg_f) ** qf * _frac_to_float(mu - w_in)
-    return NormValue.approximate((num / _frac_to_float(mu)) ** (1.0 / qf))
+    pairs, mu = on_set(tree, f, s)
+    return lq_mean(pairs, sum((v * w for v, w in pairs), Fraction(0)) / mu, mu, q)
 
 
 def oscillation_bound(tree: Tree, f: FinFunc, q) -> Callable[[Fraction, NormValue], bool]:
@@ -436,14 +433,10 @@ def oscillation_bound(tree: Tree, f: FinFunc, q) -> Callable[[Fraction, NormValu
     q = Exponent.of(q)
     l1 = lp_power(tree, f, 1)
     if q.value == 1:
-
-        def holds(mu: Fraction, best: NormValue) -> bool:
-            if not best.exact:
-                return float(2 * l1 / mu) <= best.as_float()
-            return NormValue.exact1(2 * l1 / mu) <= best
-
-        return holds
-    l2 = lp_power(tree, f, 2) if q.value == 2 else None
+        return lambda mu, best: NormValue.exact1(2 * l1 / mu) <= best
+    if q.value == 2:
+        l2 = lp_power(tree, f, 2)
+        return lambda mu, best: sqrt_plus_le(l2 / mu, l1 / mu, best.sq)
     qf = float(q)
     lq = sum(
         abs(_frac_to_float(val)) ** qf * _frac_to_float(tree.weight(v))
@@ -451,8 +444,6 @@ def oscillation_bound(tree: Tree, f: FinFunc, q) -> Callable[[Fraction, NormValu
     )
 
     def holds(mu: Fraction, best: NormValue) -> bool:
-        if l2 is not None and best.exact:
-            return sqrt_plus_le(l2 / mu, l1 / mu, best.sq)
         bound = (lq / _frac_to_float(mu)) ** (1.0 / qf) + _frac_to_float(l1 / mu)
         return bound <= best.as_float()
 

@@ -28,6 +28,7 @@ from .funcs import (
     integral,
     lp_norm,
     lp_power,
+    lq_mean,
     pairing,
 )
 from .maximal import CutoffCertificate, hl_maximal, maximal_level_set
@@ -70,21 +71,11 @@ def is_atom(tree: Tree, f: FinFunc, s: CZSet, p) -> tuple[bool, str | None]:
     if integral(tree, f) != 0:
         return False, f"integral is {integral(tree, f)}, not zero"
     mu = cz_measure(tree, s)
-    if p.is_inf:
-        if f.max_abs() > 1 / mu:
-            return False, f"sup norm {f.max_abs()} exceeds 1/measure = {1 / mu}"
-        return True, None
-    if p.value == 1:
-        if lp_power(tree, f, 1) > 1:
-            return False, "L1 norm exceeds 1"
-        return True, None
-    if p.value == 2:
-        if lp_power(tree, f, 2) > 1 / mu:
-            return False, "squared L2 norm exceeds 1/measure"
-        return True, None
-    bound = float(mu) ** (1.0 / float(p.value) - 1.0)
-    if lp_norm(tree, f, p).as_float() > bound * (1 + 1e-12):
-        return False, f"Lp norm exceeds measure**(1/p - 1) ~ {bound}"
+    # measure**(1/p - 1) is the Lp norm of the constant 1/measure on s
+    norm, bound = lp_norm(tree, f, p), lq_mean([(1 / mu, mu)], 0, 1, p)
+    if norm > bound:
+        name = "sup norm" if p.is_inf else f"L{p} norm"
+        return False, f"{name} {norm} exceeds measure**(1/p - 1) = {bound}"
     return True, None
 
 
@@ -109,9 +100,6 @@ def normalize_to_atom(tree: Tree, g: FinFunc, s: CZSet) -> tuple[Atom, Fraction]
 # ---------------------------------------------------------------------------
 # good/bad split at scale 2**j
 # ---------------------------------------------------------------------------
-
-
-MAX_LEVEL_SET = 100_000  # vertices a good/bad split may materialise
 
 
 @dataclass(frozen=True)
@@ -199,22 +187,27 @@ def select_maximal_disjoint(
     return selected
 
 
+def _integer_power(g: FinFunc, q) -> tuple[int, FinFunc]:
+    """(q, |g|**q) for an integer exponent q >= 2, the exponents for which
+    |g|**q and the thresholds 2**(jq) stay rational."""
+    qi = Exponent.of(q).integer()
+    if qi is None or qi < 2:
+        raise ValueError("good/bad splits require an integer exponent q >= 2")
+    return qi, FinFunc({v: abs(val) ** qi for v, val in g.items()})
+
+
 def good_bad_split(tree: Tree, g: FinFunc, q, j: int) -> GoodBadSplit:
     """Split g at threshold 2**j against the maximal function of |g|**q.
 
     q must be an integer >= 2 so that |g|**q and the level-set threshold
     2**(jq) stay rational and the whole construction is exact.  A level
-    set larger than MAX_LEVEL_SET vertices raises EnumerationError
-    rather than truncating silently.
+    set larger than `maximal.MAX_LEVEL_SET` vertices raises
+    EnumerationError rather than truncating silently.
     """
-    q = Exponent.of(q)
-    qi = q.integer()
-    if qi is None or qi < 2:
-        raise ValueError("good/bad splits require an integer exponent q >= 2")
-    phi = FinFunc({v: abs(val) ** qi for v, val in g.items()})
+    qi, phi = _integer_power(g, q)
     lam = Fraction(2) ** (j * qi)
     scale = Fraction(2) ** j
-    omega, certificate = maximal_level_set(tree, phi, lam, max_vertices=MAX_LEVEL_SET)
+    omega, certificate = maximal_level_set(tree, phi, lam)
     selected = select_maximal_disjoint(
         tree, admissible_trapezoids_within(tree, omega)
     )
@@ -311,15 +304,11 @@ def telescoping_h1_upper(tree: Tree, g: FinFunc, q) -> TelescopingResult:
     the leftover good part on its smallest enclosing CZ set.  The pieces
     sum to g exactly.
     """
-    q = Exponent.of(q)
-    qi = q.integer()
-    if qi is None or qi < 2:
-        raise ValueError("telescoping requires an integer exponent q >= 2")
+    qi, phi = _integer_power(g, q)
     if integral(tree, g) != 0:
         raise ValueError("only zero-integral functions admit atomic decompositions")
     if not g:
         return TelescopingResult(Fraction(0), (), 0, 0, Fraction(0), Fraction(0))
-    phi = FinFunc({v: abs(val) ** qi for v, val in g.items()})
     j_max = _ceil_log2(g.max_abs())
     min_m = min(
         hl_maximal(tree, phi, u).value.as_fraction() for u in g.support()

@@ -80,10 +80,6 @@ def set_json(tree: Tree, s: CZSet | AdmissibleTrapezoid) -> dict:
     }
 
 
-def format_cz(s: CZSet) -> str:
-    return str(s)
-
-
 def parse_cz(tree: Tree, text: str) -> CZSet:
     return _parse_set(tree, text, "cz", CZSet)
 

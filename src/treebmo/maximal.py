@@ -29,6 +29,8 @@ from .funcs import (
     NormValue,
     _frac_to_float,
     lp_power,
+    lq_mean,
+    on_set,
     oscillation,
     oscillation_bound,
 )
@@ -173,25 +175,26 @@ def threshold_trapezoids(
     return out
 
 
+MAX_LEVEL_SET = 100_000  # vertices a level set may materialise
+
+
 def maximal_level_set(
-    tree: Tree,
-    phi: FinFunc,
-    lam: Fraction,
-    max_vertices: int = 2_000_000,
+    tree: Tree, phi: FinFunc, lam: Fraction
 ) -> tuple[frozenset[Vertex], CutoffCertificate]:
     """The exact set {x : hl maximal of phi at x > lam}, as explicit vertices.
 
     A point exceeds the threshold iff its own value does (degenerate
     trapezoid) or it belongs to some trapezoid whose average does, so the
     level set is the union of the threshold trapezoids plus the vertices
-    where phi itself exceeds lam.
+    where phi itself exceeds lam.  A level set predicted to exceed
+    MAX_LEVEL_SET vertices raises EnumerationError before any is listed.
     """
     lam = Fraction(lam)
     traps = threshold_trapezoids(tree, phi, lam)
     predicted = sum(member_count(tree, r) for r in traps)
-    if predicted > max_vertices:
+    if predicted > MAX_LEVEL_SET:
         raise EnumerationError(
-            f"level set spans about {predicted} vertices, over the budget {max_vertices}"
+            f"level set spans about {predicted} vertices, over the budget {MAX_LEVEL_SET}"
         )
     omega = {v for v, val in phi.items() if val > lam}
     for r in traps:
@@ -303,24 +306,18 @@ def centered_sharp_maximal(tree: Tree, f: FinFunc, q, x: Vertex) -> MaximalResul
 
 def best_constant_oscillation(tree: Tree, f: FinFunc, s, q) -> NormValue:
     """inf over constants c of the Lq mean of |f - c| on s."""
-    from .sets import set_measure
-
     q = Exponent.of(q)
-    mu = set_measure(tree, s)
-    inside = [(v, val) for v, val in f.items() if s.contains(v)]
-    w_in = sum((tree.weight(v) for v, _ in inside), Fraction(0))
     if q.value == 2:
         return oscillation(tree, f, s, q)
-    pairs = [(val, tree.weight(v)) for v, val in inside]
-    if mu - w_in > 0:
-        pairs.append((Fraction(0), mu - w_in))
+    pairs, mu = on_set(tree, f, s)
+    rest = mu - sum((w for _, w in pairs), Fraction(0))
+    # the candidate constants see the off-support mass as one value-0 pair
+    full = pairs + [(Fraction(0), rest)] if rest > 0 else pairs
     if q.value == 1:
-        c = _weighted_median(pairs)
-        num = sum((abs(val - c) * w for val, w in pairs), Fraction(0))
-        return NormValue.exact1(num / mu)
+        return lq_mean(pairs, _weighted_median(full), mu, q)
     qf = float(q)
-    vals = sorted(float(val) for val, _ in pairs)
-    fpairs = [(_frac_to_float(val), _frac_to_float(w)) for val, w in pairs]
+    vals = sorted(float(val) for val, _ in full)
+    fpairs = [(_frac_to_float(val), _frac_to_float(w)) for val, w in full]
 
     def objective(c: float) -> float:
         return sum(abs(val - c) ** qf * w for val, w in fpairs)
@@ -340,7 +337,7 @@ def best_constant_oscillation(tree: Tree, f: FinFunc, s, q) -> NormValue:
             a, c1, f1 = c1, c2, f2
             c2 = a + golden * (b - a)
             f2 = objective(c2)
-    return NormValue.approximate((objective((a + b) / 2) / _frac_to_float(mu)) ** (1.0 / qf))
+    return lq_mean(pairs, Fraction((a + b) / 2), mu, q)
 
 
 def _weighted_median(pairs: list[tuple[Fraction, Fraction]]) -> Fraction:

@@ -340,13 +340,14 @@ class ArgMax:
         self.tree = tree
         self.value = value
         self.witness = witness
-        self._key = witness_key(tree, witness)
+        self._key = None  # the holder's witness_key, computed at its first tie
 
     def offer(self, value, witness: TrapezoidLike) -> None:
         if value > self.value:
-            self.value, self.witness = value, witness
-            self._key = witness_key(self.tree, witness)
+            self.value, self.witness, self._key = value, witness, None
         elif not value < self.value:
+            if self._key is None:
+                self._key = witness_key(self.tree, self.witness)
             key = witness_key(self.tree, witness)
             if key < self._key:
                 self.witness, self._key = witness, key

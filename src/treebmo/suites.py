@@ -390,9 +390,7 @@ def suite_sharp(config: RunConfig) -> ConstantsReport:
                         q,
                     )
                 )
-            denom = sharp_maximal(tree, abs(f), q, x).value.as_float() + sharp_maximal(
-                tree, abs(g), q, x
-            ).value.as_float()
+            denom = s_abs.as_float() + sharp_maximal(tree, abs(g), q, x).value.as_float()
             if denom > 0:
                 worst_maxmin = max(worst_maxmin, s_max.as_float() / denom)
 

@@ -91,13 +91,6 @@ class Tree:
                 out.append(Vertex(v.anchor, v.word + (d,)))
         return out
 
-    def child(self, v: Vertex, digit: int) -> Vertex:
-        if digit < 0 or digit >= self.m:
-            raise InvalidVertexError(f"digit {digit} out of range 0..{self.m - 1}")
-        if digit == 0 and not v.word:
-            return Vertex(v.anchor - 1, ())
-        return Vertex(v.anchor, v.word + (digit,))
-
     def descendants_at_depth(self, v: Vertex, depth: int) -> Iterator[Vertex]:
         """All m**depth vertices exactly `depth` levels below v."""
         if depth == 0:

@@ -6,7 +6,8 @@ to any value, witness, certificate field (`sets_evaluated` included), the
 level-set contents, the order in which `cz_supersets` yields its sets, the
 trapezoids a good/bad split selects, or a Hörmander constant's witness set
 and pair changes a digest.  Refactors of the streams and of the set
-geometry must keep every digest.
+geometry must keep every digest.  The `approximate_mode` case pins the
+float outputs of exponents outside {1, 2, inf} bit for bit.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ import pytest
 from treebmo import jsonio
 from treebmo.bmo import KernelWindow, bmo_norm, hormander_constant
 from treebmo.bruteforce import cz_in_window
+from treebmo.funcs import lp_norm, oscillation
 from treebmo.hardy import _ceil_log2, good_bad_split, telescoping_h1_upper
 from treebmo.maximal import (
     centered_sharp_maximal,
@@ -26,8 +28,9 @@ from treebmo.maximal import (
     sharp_field,
     sharp_maximal,
 )
-from treebmo.randgen import KINDS, nonzero_function
+from treebmo.randgen import KINDS, RunConfig, nonzero_function
 from treebmo.sets import cz_supersets
+from treebmo.suites import SUITES, _merge, run_suite
 from treebmo.tree import Tree, Vertex, Window, format_vertex
 
 # (tree, window, cz_supersets cap)
@@ -57,6 +60,9 @@ HORMANDER = (
 )
 HORMANDER_SEEDS = range(8)
 KERNEL_ROWS = 12
+# approximate mode: suite reports per (m, q), and exponents outside {1, 2, inf}
+SUITE_EXPONENTS = (Fraction(1), Fraction(3, 2), Fraction(2))
+APPROX_EXPONENTS = (Fraction(3, 2), Fraction(5, 2), Fraction(3))
 
 
 def _tie_kernel(tree, window, seed):
@@ -86,6 +92,17 @@ def _inputs():
                 f = nonzero_function(tree, window, seed, kind)
                 probes = [pts[0], pts[len(pts) // 2], pts[-1], f.support()[-1]]
                 yield tree, f, probes, cap
+
+
+def _suite_reports(m):
+    """`run_suite(config, "all")` JSON for each SUITE_EXPONENTS q.  The
+    decompose suite does not read q (its splits use q = 2 and its LP is
+    exact), so it runs once per m and is merged into every report."""
+    decompose = run_suite(RunConfig(m=m, size=3), "decompose")
+    for q in SUITE_EXPONENTS:
+        config = RunConfig(m=m, q=q, size=3)
+        reports = [decompose if s == "decompose" else run_suite(config, s) for s in SUITES]
+        yield _merge(reports, config).to_json()
 
 
 def _maximal_map(tree, fn, probes):
@@ -134,6 +151,29 @@ def _payload(name: str) -> list:
                             {format_vertex(x): jsonio.maximal_json(tree, r) for x, r in res.items()}
                         )
         return out
+    if name == "approximate_mode":
+        for m in (2, 3):
+            out.extend(_suite_reports(m))
+        for tree, f, probes, cap in _inputs():
+            sets = cz_supersets(tree, f.support(), cap)
+            for q in APPROX_EXPONENTS:
+                out.append(
+                    {
+                        "lp_norm": jsonio.norm_json(lp_norm(tree, f, q)),
+                        "oscillation": [
+                            jsonio.norm_json(oscillation(tree, f, s, q)) for s in sets
+                        ],
+                        "centered": _maximal_map(
+                            tree, lambda x: centered_sharp_maximal(tree, f, q, x), probes
+                        ),
+                    }
+                )
+        for (tree, window, _), field in zip(SETTINGS, FIELD_WINDOWS):
+            for kind in KINDS:
+                f = nonzero_function(tree, window, 0, kind)
+                res = sharp_field(tree, f, Fraction(3, 2), field)
+                out.append({format_vertex(x): jsonio.maximal_json(tree, r) for x, r in res.items()})
+        return out
     for tree, f, probes, cap in _inputs():
         phi = abs(f)
         if name == "bmo_norm":
@@ -172,6 +212,10 @@ def _payload(name: str) -> list:
 
 
 DIGESTS = {
+    "approximate_mode": (
+        "5e4de4e83d5fe5a732c0ec3f4e5d6dec"
+        "701da3fc9b0228caae6b86f115c97720"
+    ),
     "bmo_norm": (
         "3adc4b8fcb68cff11656a3443e18bdfd"
         "c68255b910017a893e96c57fafd85aaa"

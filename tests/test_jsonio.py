@@ -49,9 +49,9 @@ def test_finfunc_canonicalizes_on_ingest():
 
 def test_cz_text_roundtrip():
     s = CZSet(Vertex(1, ()), 3)
-    assert jsonio.parse_cz(T2, jsonio.format_cz(s)) == s
+    assert jsonio.parse_cz(T2, str(s)) == s
     deg = CZSet(U, 1, degenerate=True)
-    assert jsonio.parse_cz(T2, jsonio.format_cz(deg)) == deg
+    assert jsonio.parse_cz(T2, str(deg)) == deg
     with pytest.raises(ValueError):
         jsonio.parse_cz(T2, "root=0: h=1")
 

@@ -89,7 +89,7 @@ class TestLevelSet:
 
     def test_budget_guard(self):
         with pytest.raises(EnumerationError):
-            maximal_level_set(T2, CHI_U, Fraction(1, 2**40), max_vertices=1000)
+            maximal_level_set(T2, CHI_U, Fraction(1, 2**40))
 
     @pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(1, 10), Fraction(3, 4)])
     def test_matches_pointwise_oracle(self, lam):

@@ -1,14 +1,45 @@
 """The benchmark's tracer patches library functions by name; a rename in
-`src/` must fail here, not only in a traced benchmark run."""
+`src/`, or a caller that stops going through a patched name, must fail
+here, not only in a traced benchmark run."""
 
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_names_exist(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
+    return tracing
+
+
+def test_traced_names_exist(tracing):
     for owner, attr, name in tracing.SPANS + tracing.COUNTED:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_tracer_intercepts_each_workload(tracing):
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        w = workload(1)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.start_instance(0)
+            workloads.run(w, w.make(0))
+        finally:
+            tracer.uninstall()
+        metrics = tracer.metrics(1)
+        for layer in tracing.LAYERS:
+            assert metrics[f"{layer}.errors"] == 0, (name, layer)
+        if name == "bmo-field":
+            assert metrics["funcs.oscillation.calls"] > 0
+            # both CZ searches reach the kernel through their patched names
+            names = [span[0] for span in tracer.spans]
+            callers = {names[span[3]] for span in tracer.spans if span[0] == "funcs.oscillation"}
+            assert {"bmo.bmo_norm", "maximal.sharp_maximal"} <= callers
