@@ -67,13 +67,6 @@ class Exponent:
             return int(self.value)
         return None
 
-    def conjugate(self) -> "Exponent":
-        if self.is_inf:
-            return Exponent(Fraction(1))
-        if self.value == 1:
-            return Exponent(None)
-        return Exponent(self.value / (self.value - 1))
-
     def __float__(self) -> float:
         return math.inf if self.value is None else float(self.value)
 
@@ -309,18 +302,6 @@ class FinFunc:
     def pointwise_min(self, other: "FinFunc") -> "FinFunc":
         keys = set(self._data) | set(other._data)
         return FinFunc({v: min(self.at(v), other.at(v)) for v in keys})
-
-    def truncate(self, k) -> "FinFunc":
-        """Clamp to [-k, k] keeping signs: values above k in modulus become k*sign."""
-        k = Fraction(k)
-        if k < 0:
-            raise ValueError("truncation level must be >= 0")
-        return FinFunc(
-            {
-                v: val if abs(val) <= k else (k if val > 0 else -k)
-                for v, val in self._data.items()
-            }
-        )
 
     def max_abs(self) -> Fraction:
         return max((abs(v) for v in self._data.values()), default=Fraction(0))

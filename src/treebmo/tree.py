@@ -74,11 +74,6 @@ class Tree:
     def vertex(self, anchor: int, word=()) -> Vertex:
         return self.canonicalize(anchor, word)
 
-    def is_canonical(self, v: Vertex) -> bool:
-        return (not v.word or v.word[0] != 0) and all(
-            0 <= d < self.m for d in v.word
-        )
-
     # -- local structure ----------------------------------------------------
 
     def children(self, v: Vertex) -> list[Vertex]:
@@ -172,14 +167,6 @@ def _lifted_digit(v: Vertex, common_anchor: int, i: int) -> int:
     # digit i of v's word once lifted to common_anchor by prepending zeros
     pad = common_anchor - v.anchor
     return 0 if i < pad else v.word[i - pad]
-
-
-def lies_below(x: Vertex, y: Vertex) -> bool:
-    """True iff the upward path from x passes through y (x == y counts)."""
-    dx, dy = level(x), level(y)
-    if dx > dy:
-        return False
-    return ancestor(x, dy - dx) == y
 
 
 def distance(x: Vertex, y: Vertex) -> int:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from treebmo import jsonio
+from treebmo import jsonio, suites
 from treebmo.cli import main
 from treebmo.funcs import FinFunc
 from treebmo.tree import Tree, Vertex
@@ -133,6 +133,16 @@ def test_hormander(tmp_path, capsys):
 def test_check_geometry_exit_zero(capsys):
     code, data = run(capsys, "check", "geometry", "--size", "4")
     assert code == 0 and data["ok"]
+
+
+def test_check_counterexample_exit_one(monkeypatch, capsys):
+    # a frozen bound below what the seeded data reaches is a counterexample:
+    # exit 1, and the one JSON report on stdout names and serializes it
+    monkeypatch.setattr(suites, "FROZEN_BMO_REVERSE_RATIO", 1.0)
+    code, data = run(capsys, "--seed", "3", "check", "bmo", "--size", "4")
+    assert code == 1 and data["ok"] is False
+    sandwich = [v for v in data["violations"] if v["name"] == "bmo-sandwich"]
+    assert any({"observed", "extremizer"} <= set(v["counterexample"]) for v in sandwich)
 
 
 def test_constants_deterministic(tmp_path, capsys):

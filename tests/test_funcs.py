@@ -38,12 +38,6 @@ class TestExponent:
         assert Exponent.of("inf").is_inf
         assert Exponent.of(None).is_inf
 
-    def test_conjugate(self):
-        assert Exponent.of(2).conjugate().value == 2
-        assert Exponent.of(Fraction(3, 2)).conjugate().value == 3
-        assert Exponent.of(1).conjugate().is_inf
-        assert Exponent.of(None).conjugate().value == 1
-
     def test_below_one_rejected(self):
         with pytest.raises(ValueError):
             Exponent.of(Fraction(1, 2))
@@ -98,12 +92,6 @@ class TestFinFunc:
         assert f.scaled(Fraction(1, 2)).at(V) == -1
         assert f.pointwise_max(g) == FinFunc({U: Fraction(1), V: Fraction(1)})
         assert f.pointwise_min(g).at(U) == -1
-
-    def test_truncate(self):
-        f = FinFunc({U: Fraction(2), V: Fraction(-2)})
-        t = f.truncate(1)
-        assert t == FinFunc({U: Fraction(1), V: Fraction(-1)})
-        assert f.truncate(3) == f
 
 
 class TestIntegral:

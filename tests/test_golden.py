@@ -7,19 +7,23 @@ level-set contents, the order in which `cz_supersets` yields its sets, the
 trapezoids a good/bad split selects, or a Hörmander constant's witness set
 and pair changes a digest.  Refactors of the streams and of the set
 geometry must keep every digest.  The `approximate_mode` case pins the
-float outputs of exponents outside {1, 2, inf} bit for bit.
+float outputs of exponents outside {1, 2, inf} bit for bit; `suite_reports`
+pins the property-suite reports at full size and `suite_violations` their
+counterexample JSON.
 """
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from treebmo import jsonio
+from treebmo import bmo, bruteforce, hardy, jsonio, maximal, sets, suites
 from treebmo.bmo import KernelWindow, bmo_norm, hormander_constant
 from treebmo.bruteforce import cz_in_window
-from treebmo.funcs import lp_norm, oscillation
+from treebmo.funcs import FinFunc, NormValue, lp_norm, oscillation
 from treebmo.hardy import _ceil_log2, good_bad_split, telescoping_h1_upper
 from treebmo.maximal import (
     centered_sharp_maximal,
@@ -31,7 +35,7 @@ from treebmo.maximal import (
 from treebmo.randgen import KINDS, RunConfig, nonzero_function
 from treebmo.sets import cz_supersets
 from treebmo.suites import SUITES, _merge, run_suite
-from treebmo.tree import Tree, Vertex, Window, format_vertex
+from treebmo.tree import ORIGIN, Tree, Vertex, Window, distance, format_vertex
 
 # (tree, window, cz_supersets cap)
 SETTINGS = (
@@ -63,6 +67,16 @@ KERNEL_ROWS = 12
 # approximate mode: suite reports per (m, q), and exponents outside {1, 2, inf}
 SUITE_EXPONENTS = (Fraction(1), Fraction(3, 2), Fraction(2))
 APPROX_EXPONENTS = (Fraction(3, 2), Fraction(5, 2), Fraction(3))
+# exact suite reports at full size: (m, suites); the m = 3 decompose suite
+# is left out for cost (its h1-sandwich LPs take ~18 s per seed), and
+# approximate_mode already pins it at size 3
+SUITE_REPORT_RUNS = ((2, SUITES), (3, tuple(s for s in SUITES if s != "decompose")))
+SUITE_REPORT_SEEDS = (0, 1)
+SUITE_REPORT_SIZE = 25
+# counterexample reports: every frozen bound is set below what this
+# configuration observes, and the names the suites look up are replaced by
+# wrong answers, so that every violation a patch can reach is serialised
+VIOLATION_CONFIG = RunConfig(m=2, seed=0, size=4)
 
 
 def _tie_kernel(tree, window, seed):
@@ -103,6 +117,59 @@ def _suite_reports(m):
         config = RunConfig(m=m, q=q, size=3)
         reports = [decompose if s == "decompose" else run_suite(config, s) for s in SUITES]
         yield _merge(reports, config).to_json()
+
+
+def _violation_patches(mp):
+    bump = FinFunc.indicator(Vertex(0, (1,))).scaled(2)
+    real_bmo_norm = bmo.bmo_norm
+    real_closed = Tree.ball_measure_closed
+
+    def fake_bmo_norm(tree, f, q):
+        # not homogeneous, BMO_2 below BMO_1, and the worked witness moves
+        return real_bmo_norm(tree, f + bump if q == 1 else f.scaled(Fraction(1, 10)), q)
+
+    def fake_field(tree, f, q, where):
+        # the field at the first point only
+        return dict(list(maximal.sharp_field(tree, f, q, where).items())[:1])
+
+    def fake_split(tree, g, q, j):
+        split = hardy.good_bad_split(tree, g, q, j)
+        return dataclasses.replace(split, good=split.good + bump)
+
+    # envelope-ratio is the one check left unpatched: the code these digests
+    # were recorded from computed its ratios from a closed formula
+    for name, value in (
+        ("FROZEN_ENLARGEMENT_RATIO", Fraction(0)),
+        ("FROZEN_BMO_REVERSE_RATIO", 0.0),
+        ("FROZEN_LP_SHARP_RATIO", {(2, "2", "3/2"): 0.0}),
+        ("FROZEN_MAXMIN_SHARP_C", 0.0),
+        ("FROZEN_SPLIT_C_GOOD", Fraction(0)),
+        ("FROZEN_SPLIT_C_BAD_QPOW", Fraction(0)),
+        (
+            "admissible_measure",
+            lambda tree, r: sets.admissible_measure(tree, r) + (r.root != ORIGIN),
+        ),
+        ("distance", lambda y, z: 100 if y == z == Vertex(-1, ()) else distance(y, z)),
+        ("enlargement", lambda s: sets.CZSet(s.root, s.h + 1)),
+        ("covering_index", lambda x: 0),
+        (
+            "centered_sharp_maximal",
+            lambda tree, f, q, x: maximal.sharp_maximal(tree, f.scaled(3), q, x),
+        ),
+        ("norm_le_sum", lambda value, terms: False),
+        ("sharp_field", fake_field),
+        ("oscillation", lambda tree, f, s, q: NormValue.exact1(len(f))),
+        ("good_bad_split", fake_split),
+        ("h1_lp_gauge", lambda tree, g, family: SimpleNamespace(value=Fraction(-1))),
+    ):
+        mp.setattr(suites, name, value)
+    # the BMO norm and the pairing are looked up in both modules, so the
+    # atom-pairing check sees the same wrong answers wherever it runs
+    for module in (suites, bmo):
+        mp.setattr(module, "bmo_norm", fake_bmo_norm, raising=False)
+        mp.setattr(module, "pairing", lambda tree, f, g: Fraction(10**6), raising=False)
+    mp.setattr(Tree, "ball_measure_closed", lambda self, v, r: real_closed(self, v, r) + (r == 3))
+    mp.setattr(bruteforce, "cz_meeting_support", lambda tree, supp, cap: [])
 
 
 def _maximal_map(tree, fn, probes):
@@ -150,6 +217,17 @@ def _payload(name: str) -> list:
                         out.append(
                             {format_vertex(x): jsonio.maximal_json(tree, r) for x, r in res.items()}
                         )
+        return out
+    if name == "suite_reports":
+        for m, names in SUITE_REPORT_RUNS:
+            for seed in SUITE_REPORT_SEEDS:
+                config = RunConfig(m=m, seed=seed, size=SUITE_REPORT_SIZE)
+                out.append(_merge([run_suite(config, s) for s in names], config).to_json())
+        return out
+    if name == "suite_violations":
+        with pytest.MonkeyPatch.context() as mp:
+            _violation_patches(mp)
+            out.append(run_suite(VIOLATION_CONFIG, "all").to_json())
         return out
     if name == "approximate_mode":
         for m in (2, 3):
@@ -251,6 +329,14 @@ DIGESTS = {
     "sharp_field": (
         "7482c0503175f52e68bf09f5aa9935da"
         "3a2a904151edb39608d43b2ef95eb74d"
+    ),
+    "suite_reports": (
+        "36120352229ce3f9139b994d8b6867ff"
+        "744d5889212ca29913bd49a9794e7046"
+    ),
+    "suite_violations": (
+        "cfe930e28d9dce230cc2ecaa3d9a5746"
+        "975ba02cc478247a4d461b5ef0ab14d3"
     ),
     "telescoping_h1_upper": (
         "29b5b1b3ca9de021f7fa47cad3972230"

@@ -55,13 +55,6 @@ def test_generate_function_kinds_and_determinism():
     assert integral(T2, combo) == 0
 
 
-def test_truncation_transform():
-    f = generate_function(T2, WINDOW, 5, "rademacher", 1).scaled(2)
-    t = f.truncate(1)
-    assert t.max_abs() == 1
-    assert all(val in (Fraction(1), Fraction(-1)) for _, val in t.items())
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(m=1)

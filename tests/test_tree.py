@@ -10,12 +10,12 @@ from treebmo.tree import (
     Vertex,
     Window,
     ancestor,
+    depth_below,
     distance,
     father,
     format_vertex,
     join,
     level,
-    lies_below,
     parse_vertex,
     parse_window,
 )
@@ -53,7 +53,6 @@ class TestCanonicalize:
     def test_idempotent_on_window(self, tree):
         for v in window_vertices(tree, depth=3):
             assert tree.canonicalize(v.anchor, v.word) == v
-            assert tree.is_canonical(v)
 
 
 class TestLevelAndFather:
@@ -95,11 +94,6 @@ class TestLevelAndFather:
 
 
 class TestOrderAndDistance:
-    def test_below_examples(self):
-        assert lies_below(Vertex(0, (1,)), ORIGIN)
-        assert not lies_below(ORIGIN, Vertex(0, (1,)))
-        assert lies_below(Vertex(-1, ()), Vertex(1, ()))
-
     def test_distance_examples(self):
         assert distance(Vertex(0, (1,)), Vertex(-1, ())) == 2
         assert distance(ORIGIN, ORIGIN) == 0
@@ -118,18 +112,12 @@ class TestOrderAndDistance:
             assert distance(x, z) <= distance(x, y) + distance(y, z)
 
     @pytest.mark.parametrize("tree", [T2, T3])
-    def test_below_iff_level_gap_is_distance(self, tree):
-        verts = window_vertices(tree, depth=3)
-        for x, y in itertools.product(verts, repeat=2):
-            assert lies_below(x, y) == (level(x) == level(y) - distance(x, y))
-
-    @pytest.mark.parametrize("tree", [T2, T3])
     def test_descendant_counts(self, tree):
         for r in range(4):
             below = [
                 u
                 for u in tree.ball(ORIGIN, r)
-                if distance(u, ORIGIN) == r and lies_below(u, ORIGIN)
+                if depth_below(u, ORIGIN) == r
             ]
             assert len(below) == tree.m**r
 
