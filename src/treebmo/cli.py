@@ -22,6 +22,7 @@ from .sets import (
     EnumerationError,
     covering_family,
     covering_index,
+    cz_in_window,
     envelope,
     set_measure,
 )
@@ -278,12 +279,10 @@ def dispatch(args) -> tuple[object, int]:
         return jsonio.h1_json(tree, h1_estimate(tree, g, family, candidates)), 0
 
     if cmd == "hormander":
-        from .bruteforce import cz_in_window
-
         with open(args.kernel) as fh:
             kernel = jsonio.parse_kernel(tree, json.load(fh))
         window = _family_window(tree, args)
-        family = cz_in_window(tree, window, args.h_max, include_degenerate=False)
+        family = cz_in_window(tree, window, args.h_max)
         return jsonio.hormander_json(tree, hormander_constant(tree, kernel, family)), 0
 
     if cmd == "check":
@@ -307,11 +306,7 @@ def _family_window(tree: Tree, args) -> Window:
 
 
 def _auto_family(tree: Tree, window: Window):
-    from .bruteforce import cz_in_window
-
-    return cz_in_window(
-        tree, window, max(1, (window.depth + 1) // 4), include_degenerate=False
-    )
+    return cz_in_window(tree, window, max(1, (window.depth + 1) // 4))
 
 
 def _candidates(tree: Tree, window: Window, spec: str) -> list[FinFunc]:

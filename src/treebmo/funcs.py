@@ -141,7 +141,8 @@ class NormValue:
             return NormValue.exact1(self.radicand * c)
         return NormValue.exact_sqrt(self.radicand * c * c)
 
-    def _cmp(self, other: "NormValue") -> int:
+    def compare(self, other: "NormValue") -> int:
+        """-1, 0 or 1 as self is below, equal to or above other."""
         if self.exact and other.exact:
             # radicands are >= 0, so equal degrees compare as their radicands
             if self.degree == other.degree:
@@ -153,19 +154,19 @@ class NormValue:
         return (a > b) - (a < b)
 
     def __lt__(self, other: "NormValue") -> bool:
-        return self._cmp(other) < 0
+        return self.compare(other) < 0
 
     def __le__(self, other: "NormValue") -> bool:
-        return self._cmp(other) <= 0
+        return self.compare(other) <= 0
 
     def __gt__(self, other: "NormValue") -> bool:
-        return self._cmp(other) > 0
+        return self.compare(other) > 0
 
     def __ge__(self, other: "NormValue") -> bool:
-        return self._cmp(other) >= 0
+        return self.compare(other) >= 0
 
     def eq_value(self, other: "NormValue") -> bool:
-        return self._cmp(other) == 0
+        return self.compare(other) == 0
 
     def __str__(self) -> str:
         if not self.exact:

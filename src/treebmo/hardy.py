@@ -39,6 +39,7 @@ from .sets import (
     bands_overlap,
     cz_measure,
     envelope,
+    member_count,
     members,
     set_measure,
     smallest_enclosing_cz,
@@ -372,7 +373,12 @@ class GaugeResult:
 def h1_lp_gauge(tree: Tree, g: FinFunc, family: Sequence[CZSet]) -> GaugeResult:
     """min sum(t_S) over decompositions g = sum(b_S) with b_S supported in S,
     zero integral, and |b_S| <= t_S / measure(S): the (1, inf)-atomic gauge
-    over the given family, solved by exact rational simplex.
+    over the given family.
+
+    A one-set family forces b_S = g, so the gauge is measure(S) * max|g|
+    with the single piece g / t: the simplex's own optimum, returned in
+    closed form without listing the members of S.  Larger families are
+    solved by exact rational simplex.
 
     An upper bound for the atomic norm that can only decrease as the
     family grows.  Raises InfeasibleError when no decomposition exists
@@ -391,6 +397,25 @@ def h1_lp_gauge(tree: Tree, g: FinFunc, family: Sequence[CZSet]) -> GaugeResult:
         raise ValueError(f"family size {len(fam)} exceeds the cap {MAX_FAMILY}")
     if integral(tree, g) != 0:
         raise InfeasibleError("nonzero integral: no atomic decomposition exists")
+    if len(fam) > 1:
+        return _gauge_lp(tree, g, fam)
+    (s,) = fam
+    count = member_count(tree, s)
+    if count > MAX_UNIVERSE:
+        raise ValueError(f"{count} member vertices exceed the cap {MAX_UNIVERSE}")
+    for v in g.support():
+        if not s.contains(v):
+            raise InfeasibleError(f"support vertex {v} is covered by no family set")
+    if not g:
+        return GaugeResult(Fraction(0), (), (s,))
+    t = cz_measure(tree, s) * g.max_abs()
+    return GaugeResult(t, ((t, Atom(g.scaled(1 / t), s, Exponent.of(None))),), (s,))
+
+
+def _gauge_lp(tree: Tree, g: FinFunc, fam: list[CZSet]) -> GaugeResult:
+    """The gauge's exact LP over a de-duplicated nonempty family, for a
+    zero-integral g: one (p, n, slack) column triple per (set, member)
+    pair and one t column per set."""
     member_lists = [sorted(members(tree, s), key=lambda v: (v.anchor, v.word)) for s in fam]
     universe = sorted({v for lst in member_lists for v in lst}, key=lambda v: (v.anchor, v.word))
     if len(universe) > MAX_UNIVERSE:

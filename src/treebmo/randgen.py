@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .funcs import FinFunc
+from .sets import member_count
 from .tree import Tree, Vertex, Window
 
 KINDS = ("indicator", "rademacher", "sparse", "atom-combo")
@@ -51,25 +52,27 @@ def generate_function(
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
     rng = random.Random(f"{seed}:{kind}:{index}")
-    verts = window.members(tree)
+    # draws are made on member indices, which consume the RNG exactly as the
+    # listed members would; only the drawn indices become vertices
+    size = member_count(tree, window)
     if kind == "indicator":
-        return FinFunc.indicator(rng.choice(verts))
+        return FinFunc.indicator(window.member(tree, rng.choice(range(size))))
     if kind == "rademacher":
-        k = rng.randint(1, min(8, len(verts)))
-        chosen = rng.sample(verts, k)
-        return FinFunc({v: Fraction(rng.choice((-1, 1))) for v in chosen})
+        k = rng.randint(1, min(8, size))
+        chosen = rng.sample(range(size), k)
+        return FinFunc({window.member(tree, i): Fraction(rng.choice((-1, 1))) for i in chosen})
     if kind == "sparse":
-        k = rng.randint(1, min(5, len(verts)))
-        chosen = rng.sample(verts, k)
+        k = rng.randint(1, min(5, size))
+        chosen = rng.sample(range(size), k)
         out = {}
-        for v in chosen:
+        for i in chosen:
             num = rng.choice([n for n in range(-6, 7) if n])
-            out[v] = Fraction(num, rng.randint(1, 4))
+            out[window.member(tree, i)] = Fraction(num, rng.randint(1, 4))
         return FinFunc(out)
     # atom-combo: sums of c * (w(v)*chi_u - w(u)*chi_v), each exactly zero-integral
     f = FinFunc()
     for _ in range(rng.randint(1, 3)):
-        u, v = rng.sample(verts, 2)
+        u, v = (window.member(tree, i) for i in rng.sample(range(size), 2))
         c = Fraction(rng.randint(1, 3), rng.randint(1, 2)) * rng.choice((-1, 1))
         f = f + FinFunc({u: c * tree.weight(v), v: -c * tree.weight(u)})
     return f

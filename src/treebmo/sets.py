@@ -25,6 +25,7 @@ from .tree import (
     Band,
     Tree,
     Vertex,
+    Window,
     ancestor,
     depth_below,
     father,
@@ -315,6 +316,19 @@ def cz_supersets(
                 yield CZSet(root, h)
 
 
+def cz_in_window(tree: Tree, window: Window, h_max: int) -> list[CZSet]:
+    """Every non-degenerate CZ set with h <= h_max rooted in the window whose
+    members stay inside it, by root in window order, then by height.  A set
+    rooted at depth d reaches depth d + 4h - 1, so only roots at depth
+    <= window.depth - 3 carry one."""
+    out = []
+    for d in range(window.depth - 2):
+        hs = range(1, min(h_max, (window.depth - d + 1) // 4) + 1)
+        for root in tree.descendants_at_depth(window.root, d):
+            out.extend(CZSet(root, h) for h in hs)
+    return out
+
+
 def witness_key(tree: Tree, s: TrapezoidLike):
     """Deterministic tie-break order: smaller measure, lower root level, lex word."""
     h = getattr(s, "h", 0)
@@ -329,11 +343,21 @@ def witness_key(tree: Tree, s: TrapezoidLike):
     )
 
 
+def _compare(a, b) -> int:
+    """-1, 0 or 1 as a is below, equal to or above b: two Fractions by one
+    cross-multiplication, or two NormValues by NormValue.compare."""
+    if isinstance(a, Fraction):
+        x, y = a.numerator * b.denominator, b.numerator * a.denominator
+        return (x > y) - (x < y)
+    return a.compare(b)
+
+
 class ArgMax:
     """A running maximum whose ties go to the smallest witness_key.
 
-    Values may be Fractions or NormValues; only > and < are used, since
-    equal NormValues can differ in representation (degree 1 vs 2).
+    Values may be Fractions or NormValues.  Each offer makes one three-way
+    comparison, which also settles ties between equal NormValues of
+    different representation (degree 1 vs 2).
     """
 
     def __init__(self, tree: Tree, value, witness: TrapezoidLike):
@@ -343,9 +367,10 @@ class ArgMax:
         self._key = None  # the holder's witness_key, computed at its first tie
 
     def offer(self, value, witness: TrapezoidLike) -> None:
-        if value > self.value:
+        c = _compare(value, self.value)
+        if c > 0:
             self.value, self.witness, self._key = value, witness, None
-        elif not value < self.value:
+        elif c == 0:
             if self._key is None:
                 self._key = witness_key(self.tree, self.witness)
             key = witness_key(self.tree, witness)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, NamedTuple
 
 
@@ -87,12 +88,19 @@ class Tree:
         return out
 
     def descendants_at_depth(self, v: Vertex, depth: int) -> Iterator[Vertex]:
-        """All m**depth vertices exactly `depth` levels below v."""
-        if depth == 0:
-            yield v
+        """All m**depth vertices exactly `depth` levels below v, in the
+        lexicographic order of the digit words that reach them."""
+        words = product(range(self.m), repeat=depth)
+        if v.word:
+            for w in words:
+                yield Vertex(v.anchor, v.word + w)
             return
-        for c in self.children(v):
-            yield from self.descendants_at_depth(c, depth - 1)
+        # below a geodesic vertex, leading zeros continue the geodesic
+        for w in words:
+            z = 0
+            while z < depth and w[z] == 0:
+                z += 1
+            yield Vertex(v.anchor - z, w[z:])
 
     # -- measure ------------------------------------------------------------
 
@@ -248,6 +256,22 @@ class Window(Band):
         for d in range(self.depth + 1):
             out.extend(tree.descendants_at_depth(self.root, d))
         return out
+
+    def member(self, tree: Tree, i: int) -> Vertex:
+        """members(tree)[i] without listing the others: past the depth bands
+        above it, i's base-m digits are the word below the root."""
+        rest = i
+        if rest >= 0:
+            for d in range(self.depth + 1):
+                if rest < tree.m**d:
+                    digits = []
+                    for _ in range(d):
+                        rest, digit = divmod(rest, tree.m)
+                        digits.append(digit)
+                    word = self.root.word + tuple(reversed(digits))
+                    return tree.canonicalize(self.root.anchor, word)
+                rest -= tree.m**d
+        raise IndexError(f"window {self} has no member {i}")
 
     def __str__(self) -> str:
         return f"root={format_vertex(self.root)},depth={self.depth}"

@@ -5,7 +5,10 @@ import pytest
 import treebmo.bruteforce as bf
 from treebmo.funcs import FinFunc, integral, lp_power
 from treebmo.hardy import (
+    MAX_UNIVERSE,
+    GaugeResult,
     GoodBadSplit,
+    _gauge_lp,
     good_bad_split,
     h1_duality_lower,
     h1_estimate,
@@ -20,6 +23,7 @@ from treebmo.sets import (
     CZSet,
     cz_measure,
     envelope,
+    member_count,
     members,
     smallest_enclosing_cz,
 )
@@ -267,6 +271,34 @@ class TestGauge:
         assert integral(T2, g) == 0
         with pytest.raises(InfeasibleError):
             h1_lp_gauge(T2, g, [S1, far])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_set_closed_form_is_the_lp_optimum(self, m):
+        # the simplex still runs here, on the families that skip it in production;
+        # a one-set LP on Tree(3) has 39 or more members and takes seconds
+        tree = Tree(m)
+        for i in range(6 if m == 2 else 1):
+            g = nonzero_function(tree, SMALL, 107, "atom-combo", i)
+            holder = smallest_enclosing_cz(tree, g.support())
+            closed = h1_lp_gauge(tree, g, [holder])
+            assert closed == _gauge_lp(tree, g, [holder])
+            t = cz_measure(tree, holder) * g.max_abs()
+            assert closed.value == t and closed.family == (holder,)
+            ((lam, atom),) = closed.pieces
+            assert lam == t and atom.function.scaled(t) == g
+        assert h1_lp_gauge(tree, FinFunc(), [S1]) == _gauge_lp(tree, FinFunc(), [S1])
+        assert h1_lp_gauge(tree, FinFunc(), [S1]) == GaugeResult(Fraction(0), (), (S1,))
+
+    def test_one_set_universe_cap_without_listing(self):
+        T3 = Tree(3)
+        big = CZSet(O, 10)
+        count = member_count(T3, big)
+        assert count > 10**18
+        msg = f"{count} member vertices exceed the cap {MAX_UNIVERSE}"
+        with pytest.raises(ValueError, match=msg):
+            h1_lp_gauge(T3, FinFunc(), [big])
+        with pytest.raises(ValueError, match=msg):
+            h1_lp_gauge(T3, ATOM, [big, big])
 
     def test_pieces_reassemble(self):
         from treebmo.tree import father

@@ -3,13 +3,16 @@ from fractions import Fraction
 import pytest
 
 from treebmo.bruteforce import (
+    cz_in_window as cz_in_window_oracle,
     cz_meeting_support,
     descendant_count,
     distance_to_set,
     enlargement_by_bfs,
 )
+from treebmo.funcs import NormValue
 from treebmo.sets import (
     AdmissibleTrapezoid,
+    ArgMax,
     CZSet,
     GeneralTrapezoid,
     admissible_measure,
@@ -17,6 +20,7 @@ from treebmo.sets import (
     bands_overlap,
     covering_family,
     covering_index,
+    cz_in_window,
     cz_measure,
     cz_supersets,
     enlargement,
@@ -27,6 +31,7 @@ from treebmo.sets import (
     members,
     set_measure,
     smallest_enclosing_cz,
+    witness_key,
 )
 from treebmo.tree import Tree, Vertex, Window, distance, father
 
@@ -325,3 +330,39 @@ class TestDescendantCount:
             listed = list(tree.descendants_at_depth(Vertex(1, ()), d))
             assert len(set(listed)) == len(listed) == tree.m**d
             assert descendant_count(tree, Vertex(1, ()), d) == len(listed)
+
+
+class TestCzInWindow:
+    @pytest.mark.parametrize("tree", [T2, T3])
+    def test_matches_oracle_order(self, tree):
+        # cli h1 --family auto: and cli hormander report families in this order
+        for root in (Vertex(4, ()), Vertex(1, (1,))):
+            for depth in range(9 if tree.m == 2 else 7):
+                window = Window(root, depth)
+                for h_max in (1, 2, 3):
+                    oracle = cz_in_window_oracle(tree, window, h_max, include_degenerate=False)
+                    assert cz_in_window(tree, window, h_max) == oracle
+
+
+class TestArgMax:
+    def test_fraction_ties_go_to_smallest_key(self):
+        small, large = CZSet(O, 1), CZSet(O, 2)
+        best = ArgMax(T2, Fraction(1, 2), large)
+        best.offer(Fraction(2, 4), small)
+        assert best.witness == small
+        best.offer(Fraction(1, 2), large)
+        best.offer(Fraction(1, 3), CZSet(O, 1, degenerate=True))
+        assert (best.value, best.witness) == (Fraction(1, 2), small)
+        best.offer(Fraction(3, 5), large)
+        assert (best.value, best.witness) == (Fraction(3, 5), large)
+
+    def test_norm_values_tie_across_degrees(self):
+        small, large = CZSet(O, 1), CZSet(O, 2)
+        assert witness_key(T2, small) < witness_key(T2, large)
+        best = ArgMax(T2, NormValue.exact1(2), large)
+        best.offer(NormValue.exact_sqrt(4), small)
+        assert best.witness == small and best.value == NormValue.exact1(2)
+        best.offer(NormValue.exact_sqrt(3), large)
+        assert best.witness == small
+        best.offer(NormValue.exact_sqrt(5), large)
+        assert best.witness == large and best.value == NormValue.exact_sqrt(5)

@@ -159,6 +159,36 @@ class TestMeasure:
                 )
 
 
+class TestWindowMember:
+    WINDOWS = [
+        (Vertex(2, ()), 4),
+        (Vertex(0, ()), 0),
+        (Vertex(-1, ()), 3),
+        (Vertex(1, (1,)), 3),
+        (Vertex(3, (1, 0)), 2),
+    ]
+
+    @pytest.mark.parametrize("tree", [T2, T3])
+    def test_member_indexes_members(self, tree):
+        # members() lists depth by depth through descendants_at_depth, so this
+        # also pins that walk's order to the base-m digits of the index
+        for root, depth in self.WINDOWS:
+            w = Window(root, depth)
+            listed = w.members(tree)
+            assert len(listed) == sum(tree.m**d for d in range(depth + 1))
+            assert [w.member(tree, i) for i in range(len(listed))] == listed
+            for d in range(depth + 1):
+                ball = {u for u in tree.ball(root, d) if depth_below(u, root) == d}
+                assert set(tree.descendants_at_depth(root, d)) == ball
+
+    @pytest.mark.parametrize("tree", [T2, T3])
+    def test_member_out_of_range(self, tree):
+        w = Window(Vertex(2, ()), 3)
+        for i in (-1, len(w.members(tree)), 10**6):
+            with pytest.raises(IndexError):
+                w.member(tree, i)
+
+
 class TestTextFormat:
     def test_parse_examples(self):
         assert parse_vertex(T2, "0:") == ORIGIN
