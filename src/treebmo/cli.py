@@ -16,7 +16,7 @@ from . import jsonio
 from .bmo import DomainError, bmo_norm, hormander_constant
 from .funcs import FinFunc
 from .hardy import good_bad_split, h1_estimate, telescoping_h1_upper
-from .maximal import hl_maximal, sharp_maximal
+from .maximal import hl_maximal, sharp_field
 from .randgen import RunConfig, nonzero_function
 from .sets import (
     EnumerationError,
@@ -27,7 +27,6 @@ from .sets import (
     set_measure,
 )
 from .simplex import InfeasibleError
-from .suites import SUITES, run_suite
 from .tree import (
     Tree,
     Vertex,
@@ -39,6 +38,9 @@ from .tree import (
 
 USAGE_ERROR = 2
 COUNTEREXAMPLE = 1
+# the `check` choices, in `suites.SUITES` order; `suites` loads the
+# brute-force oracles, so only `check` and `constants` import it
+SUITES = ("geometry", "sharp", "bmo", "decompose", "lp-ratio")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -249,12 +251,8 @@ def dispatch(args) -> tuple[object, int]:
 
     if cmd == "sharp":
         f = _load_func(tree, args.infile)
-        q = Fraction(args.q)
-        out = {
-            format_vertex(x): jsonio.maximal_json(tree, sharp_maximal(tree, f, q, x))
-            for x in _points(tree, args)
-        }
-        return out, 0
+        field = sharp_field(tree, f, Fraction(args.q), _points(tree, args))
+        return {format_vertex(x): jsonio.maximal_json(tree, r) for x, r in field.items()}, 0
 
     if cmd == "maximal":
         phi = _load_func(tree, args.infile)
@@ -285,12 +283,11 @@ def dispatch(args) -> tuple[object, int]:
         family = cz_in_window(tree, window, args.h_max)
         return jsonio.hormander_json(tree, hormander_constant(tree, kernel, family)), 0
 
-    if cmd == "check":
-        report = run_suite(_config(args, args.size), args.suite)
-        return report.to_json(), 0 if report.ok else COUNTEREXAMPLE
+    if cmd in ("check", "constants"):
+        from .suites import run_suite
 
-    if cmd == "constants":
-        report = run_suite(_config(args, args.size), "all")
+        suite = args.suite if cmd == "check" else "all"
+        report = run_suite(_config(args, args.size), suite)
         return report.to_json(), 0 if report.ok else COUNTEREXAMPLE
 
     raise ValueError(f"unknown command {cmd!r}")

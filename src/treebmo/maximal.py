@@ -15,6 +15,12 @@ measure threshold past which candidates were discarded and the inequality
 that justifies it.  `bmo.bmo_norm` runs the same CZ search, `sup_over_cz`,
 from every support vertex.  The test suite replays these computations
 against brute-force oracles with no cutoff.
+
+`sharp_field` climbs from many points of a window.  Wave t of the climb
+from x, the CZ sets rooted at ancestor(x, t) with the heights feasible t
+levels below, depends only on that root and t, so the points share it:
+each set is evaluated once, each wave's best set is found once, and each
+point offers one set per wave.
 """
 
 from __future__ import annotations
@@ -222,23 +228,75 @@ def _cz_mu_min(tree: Tree, x_level: int, t: int) -> Fraction:
 SHARP_RULE = "oscillation <= (||f||_q^q/measure)^(1/q) + ||f||_1/measure"
 
 
+class _Shared:
+    """What the points of one `sharp_field` share as their climbs run: the
+    value of each CZ set, the best (value, set) of each wave, keyed by its
+    root and its height t above the start, and the stop test."""
+
+    def __init__(self) -> None:
+        self.values: dict[CZSet, NormValue] = {}
+        self.waves: dict[tuple[Vertex, int], tuple[NormValue, CZSet]] = {}
+        self.holds: Callable[[Fraction, NormValue], bool] | None = None
+
+    def wave(
+        self,
+        tree: Tree,
+        root: Vertex,
+        t: int,
+        hs: list[int],
+        set_value: Callable[[CZSet], NormValue],
+    ) -> tuple[NormValue, CZSet]:
+        """The best (value, set) over CZSet(root, h), h in hs.  Each wave and
+        each set's value is found once per field."""
+        top = self.waves.get((root, t))
+        if top is None:
+            values = self.values
+            pairs = []
+            for h in hs:
+                s = CZSet(root, h)
+                if s not in values:
+                    values[s] = set_value(s)
+                pairs.append((values[s], s))
+            best = ArgMax(tree, *pairs[0])
+            for pair in pairs[1:]:
+                best.offer(*pair)
+            top = self.waves[root, t] = best.value, best.witness
+        return top
+
+
 def sup_over_cz(
     tree: Tree,
     f: FinFunc,
     q: Exponent,
     starts: list[Vertex],
     set_value: Callable[[CZSet], NormValue],
+    *,
+    _shared: _Shared | None = None,
 ) -> tuple[ArgMax, CutoffCertificate]:
     """Sup of set_value over the CZ sets containing some start vertex.
 
     f must be nonzero and q finite; set_value(S) must not exceed the
     q-oscillation of f on S, which the stop rule bounds.  The search starts
     at value zero on the degenerate set {starts[0]}, counted as evaluated.
+
+    With `_shared` (one start x, from `sharp_field`), wave t of the climb,
+    the sets CZSet(ancestor(x, t), h) for h in feasible_heights(t), is
+    offered as one pair: its best under the ArgMax order, found once per
+    field.  That order is total (value, then the witness_key, unique per
+    set), so the best of the wave bests is the best over the sets; keep
+    reads the running best only between waves, so the stop and the count
+    of sets evaluated are those of the set-by-set climb.
     """
     best = ArgMax(tree, NormValue.zero(), CZSet(starts[0], 1, degenerate=True))
     evaluated = 1
     floor: Fraction | None = None
-    bound_holds = oscillation_bound(tree, f, q)
+    if _shared is None:
+        bound_holds = oscillation_bound(tree, f, q)
+    else:
+        if _shared.holds is None:
+            _shared.holds = oscillation_bound(tree, f, q)
+        bound_holds = _shared.holds
+        x_level = level(starts[0])
 
     def keep(u: Vertex, t: int) -> bool:
         nonlocal floor
@@ -249,16 +307,23 @@ def sup_over_cz(
         return False
 
     for root, hs in rooted_bands(starts, feasible_heights, keep):
+        evaluated += len(hs)
+        if _shared is not None:
+            best.offer(*_shared.wave(tree, root, level(root) - x_level, hs, set_value))
+            continue
         for h in hs:
             cand = CZSet(root, h)
-            val = set_value(cand)
-            evaluated += 1
-            best.offer(val, cand)
+            best.offer(set_value(cand), cand)
     return best, CutoffCertificate(SHARP_RULE, floor, None, evaluated)
 
 
 def _sharp_at(
-    tree: Tree, f: FinFunc, q, x: Vertex, set_value: Callable[[CZSet], NormValue]
+    tree: Tree,
+    f: FinFunc,
+    q,
+    x: Vertex,
+    set_value: Callable[[CZSet], NormValue],
+    shared: _Shared | None = None,
 ) -> MaximalResult:
     q = Exponent.of(q)
     if q.is_inf:
@@ -269,26 +334,20 @@ def _sharp_at(
             CZSet(x, 1, degenerate=True),
             _trivial_certificate("zero function", 1),
         )
-    best, certificate = sup_over_cz(tree, f, q, [x], set_value)
+    best, certificate = sup_over_cz(tree, f, q, [x], set_value, _shared=shared)
     return MaximalResult(best.value, best.witness, certificate)
 
 
 def sharp_maximal(
-    tree: Tree, f: FinFunc, q, x: Vertex, *, _memo: dict | None = None
+    tree: Tree, f: FinFunc, q, x: Vertex, *, _memo: _Shared | None = None
 ) -> MaximalResult:
     """Sup of q-oscillations of f over CZ sets containing x; exact for q in {1, 2}.
 
-    `sharp_field` passes every point the same `_memo` (CZ set -> oscillation).
+    `sharp_field` passes every point the same `_memo`: each CZ set is then
+    evaluated once per field, and the climb offers each wave's best set in
+    place of the wave's sets (see `sup_over_cz`).
     """
-    memo = {} if _memo is None else _memo
-
-    def value(s: CZSet) -> NormValue:
-        val = memo.get(s)
-        if val is None:
-            val = memo[s] = oscillation(tree, f, s, q)
-        return val
-
-    return _sharp_at(tree, f, q, x, value)
+    return _sharp_at(tree, f, q, x, lambda s: oscillation(tree, f, s, q), _memo)
 
 
 def centered_sharp_maximal(tree: Tree, f: FinFunc, q, x: Vertex) -> MaximalResult:
@@ -361,11 +420,16 @@ def sharp_field(
 ) -> dict[Vertex, MaximalResult]:
     """Pointwise sharp maximal function on a window or explicit vertex list.
 
-    Each point is one `sharp_maximal` call.  The calls share one memo of
-    set oscillations, so a CZ set containing several points is evaluated
-    once; a memoised value is the value itself, so the result does not
-    depend on the order of the points.
+    Each point is one `sharp_maximal` call, and the calls share one memo.
+    A wave (the CZ sets rooted at ancestor(x, t) with the heights feasible
+    t levels below) depends only on that root and t, so every point with
+    the same ancestor t levels up climbs the same wave: its best set is
+    found once, by one ArgMax over the wave, and each point offers that
+    one set.  Each CZ set is evaluated once, and the stop test is built
+    once.  The memo holds values and maxima under a total order, so the
+    result does not depend on the order of the points, and each point's
+    value, witness and certificate are those of an unshared `sharp_maximal`.
     """
     points = where.members(tree) if isinstance(where, Window) else list(where)
-    memo: dict[CZSet, NormValue] = {}
+    memo = _Shared()
     return {v: sharp_maximal(tree, f, q, v, _memo=memo) for v in points}

@@ -267,9 +267,20 @@ def rooted_bands(
     heights of heights(t) not yet yielded at that root.  keep runs only
     after the caller has consumed every earlier yield, so it may read a
     running best.  The stream ends when every chain has stopped.
+
+    A single start yields wave t as ancestor(u, t) with all of heights(t):
+    one chain never meets a root twice, so it keeps no record of what it
+    yielded.  `sharp_maximal` relies on this to share waves between points.
     """
-    seen: set[tuple[Vertex, int]] = set()
     alive = list(starts)
+    if len(alive) == 1:
+        (u,) = alive
+        t = 1
+        while keep(u, t):
+            yield ancestor(u, t), list(heights(t))
+            t += 1
+        return
+    seen: set[tuple[Vertex, int]] = set()
     t = 0
     while alive:
         t += 1

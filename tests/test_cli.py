@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from treebmo import jsonio, suites
+import treebmo
+from treebmo import cli, jsonio, suites
 from treebmo.cli import main
 from treebmo.funcs import FinFunc
-from treebmo.tree import Tree, Vertex
+from treebmo.maximal import sharp_maximal
+from treebmo.randgen import nonzero_function
+from treebmo.tree import Tree, Vertex, Window, format_vertex, parse_vertex, parse_window
 
 T2 = Tree(2)
 U = Vertex(0, (1,))
@@ -72,6 +79,42 @@ def test_sharp_at(tmp_path, capsys):
     assert code == 0
     assert data["0:1"]["value"] == {"mode": "exact", "value": "5/18"}
     assert data["0:1"]["certificate"]["measure_bound"] is not None
+
+
+@pytest.mark.parametrize(
+    "where", [("--at", "0:1"), ("--window", "root=1:,depth=3"), ("--window", "root=2:,depth=4")]
+)
+def test_sharp_prints_the_per_point_bytes(tmp_path, capsys, where):
+    f = nonzero_function(T2, Window(Vertex(2, ()), 4), 7, "sparse", 0)
+    path = write_func(tmp_path, "f.json", f)
+    assert main(["sharp", "--q", "2", *where, "--in", path]) == 0
+    flag, spec = where
+    pts = [parse_vertex(T2, spec)] if flag == "--at" else parse_window(T2, spec).members(T2)
+    per_point = {
+        format_vertex(x): jsonio.maximal_json(T2, sharp_maximal(T2, f, 2, x)) for x in pts
+    }
+    assert capsys.readouterr().out == jsonio.dumps(per_point) + "\n"
+
+
+def test_oracles_load_only_for_check(tmp_path):
+    path = write_func(tmp_path, "f.json", FinFunc.indicator(U))
+    script = (
+        "import sys\n"
+        "from treebmo.cli import main\n"
+        f"assert main(['sharp', '--at', '0:1', '--in', {path!r}]) == 0\n"
+        "print([m for m in ('treebmo.suites', 'treebmo.bruteforce') if m in sys.modules])\n"
+    )
+    src = str(Path(treebmo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_check_choices_are_the_suites():
+    assert cli.SUITES == suites.SUITES
 
 
 def test_maximal_at(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import treebmo.bruteforce as bf
 from treebmo import maximal
-from treebmo.funcs import FinFunc, average, lp_power, oscillation
+from treebmo.funcs import FinFunc, average, lp_power, oscillation, oscillation_bound
 from treebmo.maximal import (
     best_constant_oscillation,
     centered_sharp_maximal,
@@ -17,7 +17,7 @@ from treebmo.maximal import (
     threshold_trapezoids,
 )
 from treebmo.randgen import nonzero_function
-from treebmo.sets import AdmissibleTrapezoid, CZSet, EnumerationError, members
+from treebmo.sets import AdmissibleTrapezoid, ArgMax, CZSet, EnumerationError, members
 from treebmo.tree import Tree, Vertex, Window
 
 T2 = Tree(2)
@@ -173,10 +173,17 @@ class TestSharpField:
         assert all(r.value.is_zero() for r in field.values())
 
     def test_agrees_with_pointwise(self):
-        f = nonzero_function(T2, WINDOW, 31, "sparse", 0)
-        field = sharp_field(T2, f, 1, WINDOW)
-        for x in list(field)[:5]:
-            assert field[x].value.eq_value(sharp_maximal(T2, f, 1, x).value)
+        # every point's value, witness and whole certificate are those of an
+        # unshared climb, whatever order the field visits the points in
+        for tree, win in ((T2, WINDOW), (Tree(3), Window(Vertex(1, ()), 3))):
+            f = nonzero_function(tree, win, 31, "sparse", 0)
+            pts = win.members(tree)
+            shuffled = pts[:]
+            random.Random(31).shuffle(shuffled)
+            for q in (1, 2, Fraction(3, 2)):
+                alone = {x: sharp_maximal(tree, f, q, x) for x in pts}
+                for order in (pts, shuffled):
+                    assert sharp_field(tree, f, q, order) == alone
 
     def test_point_order_does_not_matter(self):
         f = nonzero_function(T2, WINDOW, 37, "sparse", 1)
@@ -211,6 +218,28 @@ class TestSharpField:
         assert points == WINDOW.members(T2)
         assert calls and max(calls.values()) == 1
         assert sum(r.certificate.sets_evaluated for r in field.values()) > len(calls)
+
+    def test_points_share_waves_and_stop_test(self, monkeypatch):
+        f = nonzero_function(T2, WINDOW, 31, "sparse", 0)
+        built, offered = [], []
+
+        def counted_bound(tree, g, q):
+            built.append(q)
+            return oscillation_bound(tree, g, q)
+
+        class CountedArgMax(ArgMax):
+            def offer(self, value, witness):
+                offered.append(witness)
+                super().offer(value, witness)
+
+        monkeypatch.setattr(maximal, "oscillation_bound", counted_bound)
+        monkeypatch.setattr(maximal, "ArgMax", CountedArgMax)
+        field = sharp_field(T2, f, 1, WINDOW)
+        assert len(built) == 1
+        # a set-by-set climb offers every set it evaluates past the start;
+        # with waves, a point offers one set per wave
+        per_set = sum(r.certificate.sets_evaluated - 1 for r in field.values())
+        assert len(offered) < per_set
 
     def test_max_of_field_is_witness_oscillation(self):
         f = CHI_U
