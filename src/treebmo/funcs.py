@@ -230,10 +230,12 @@ class FinFunc:
         d: dict[Vertex, Fraction] = {}
         for v, val in items:
             val = Fraction(val)
-            if val:
-                d[v] = d.get(v, Fraction(0)) + val
-                if not d[v]:
+            if val and v in d:
+                val += d[v]
+                if not val:
                     del d[v]
+            if val:
+                d[v] = val
         self._data = d
 
     @classmethod

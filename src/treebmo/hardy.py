@@ -36,7 +36,6 @@ from .sets import (
     AdmissibleTrapezoid,
     CZSet,
     band_within,
-    bands_overlap,
     cz_measure,
     envelope,
     member_count,
@@ -46,7 +45,7 @@ from .sets import (
     witness_key,
 )
 from .simplex import InfeasibleError, solve_lp
-from .tree import Tree, Vertex, ancestor, level
+from .tree import Tree, Vertex, ancestor, father, level
 
 
 # ---------------------------------------------------------------------------
@@ -124,30 +123,33 @@ def admissible_trapezoids_within(
 ) -> list[AdmissibleTrapezoid]:
     """Every admissible trapezoid all of whose members lie in omega.
 
-    A depth-h band needs m**h vertices per level, which caps the heights to
-    scan; completeness of a level below a candidate root is decided by
-    counting omega vertices against m**depth.
+    The level t below a root is complete when m**t omega vertices sit t
+    levels below it, so no level deeper than t_max = log_m |omega| is
+    complete.  The counts come from one climb of the father chains to
+    height t_max, the counts at height t + 1 being the counts at height t
+    summed onto their fathers.
     """
     if not omega:
         return []
     cands = [AdmissibleTrapezoid(w, 1, degenerate=True) for w in omega]
-    h_max = 0
-    while tree.m ** (h_max + 1) <= len(omega):
-        h_max += 1
-    if h_max == 0:
-        return cands
-    counts: dict[tuple[Vertex, int], int] = {}
-    for w in omega:
-        for t in range(1, 2 * h_max):
-            r = ancestor(w, t)
-            counts[(r, t)] = counts.get((r, t), 0) + 1
+    t_max = 0
+    while tree.m ** (t_max + 1) <= len(omega):
+        t_max += 1
     complete: dict[Vertex, set[int]] = {}
-    for (r, t), cnt in counts.items():
-        if cnt == tree.m**t:
-            complete.setdefault(r, set()).add(t)
+    counts = dict.fromkeys(omega, 1)
+    for t in range(1, t_max + 1):
+        climbed: dict[Vertex, int] = {}
+        for v, cnt in counts.items():
+            u = father(v)
+            climbed[u] = climbed.get(u, 0) + cnt
+        counts = climbed
+        full = tree.m**t
+        for r, cnt in counts.items():
+            if cnt == full:
+                complete.setdefault(r, set()).add(t)
     for r, depths in complete.items():
-        for h in range(1, h_max + 1):
-            if all(d in depths for d in range(h, 2 * h)):
+        for h in sorted(depths):
+            if all(d in depths for d in range(h + 1, 2 * h)):
                 cands.append(AdmissibleTrapezoid(r, h))
     return cands
 
@@ -162,30 +164,51 @@ def select_maximal_disjoint(
     envelope (two overlapping trapezoids have comparable roots, and the
     lower one's depth band maps into the upper one's envelope band), which
     is what makes the envelopes of the selection cover the original set.
-    A candidate is maximal when no other candidate rooted on its father
-    chain contains it.
+
+    Both tests walk the candidate's father chain once with `father`: a
+    candidate is maximal when no other candidate rooted on that chain
+    contains it, and it overlaps an earlier pick only if that pick is
+    rooted on the chain (an earlier pick sits no lower), so each test
+    compares depth bands shifted by the gap to the root looked up.
     """
-    by_root: dict[Vertex, list[AdmissibleTrapezoid]] = {}
+    bands: dict[Vertex, list[tuple[int, int]]] = {}
     for s in candidates:
-        by_root.setdefault(s.root, []).append(s)
+        bands.setdefault(s.root, []).append(s.depth_range())
     top = max((s.depth_range()[1] for s in candidates), default=0)
 
     def covered(r: AdmissibleTrapezoid) -> bool:
         # a superset of r is rooted g levels above r with its band reaching
-        # depth hi(r) + g, so g never exceeds top - hi(r)
-        for g in range(top - r.depth_range()[1] + 1):
-            for s in by_root.get(ancestor(r.root, g), ()):
-                if s != r and band_within(r, s):
+        # depth hi(r) + g, so g never exceeds top - hi(r); at g = 0 it is
+        # another candidate at the same root, so its band differs from r's
+        lo, hi = r.depth_range()
+        root = r.root
+        for g in range(top - hi + 1):
+            for s_lo, s_hi in bands.get(root, ()):
+                if s_lo <= lo + g and hi + g <= s_hi and (g or (s_lo, s_hi) != (lo, hi)):
                     return True
+            root = father(root)
         return False
 
     maximal = [r for r in candidates if not covered(r)]
     maximal.sort(key=lambda r: (-level(r.root), witness_key(tree, r)))
     selected: list[AdmissibleTrapezoid] = []
+    picked: dict[Vertex, list[tuple[int, int]]] = {}
     for r in maximal:
-        if all(not bands_overlap(r, s) for s in selected):
+        # a pick overlapping r reaches depth lo(r) + g <= top below its root
+        lo, hi = r.depth_range()
+        root = r.root
+        for g in range(top - lo + 1):
+            if any(max(lo + g, s_lo) <= min(hi + g, s_hi) for s_lo, s_hi in picked.get(root, ())):
+                break
+            root = father(root)
+        else:
             selected.append(r)
+            picked.setdefault(r.root, []).append((lo, hi))
     return selected
+
+
+# 2**14_284 has 4 300 decimal digits, the most CPython prints by default
+MAX_THRESHOLD_BITS = 14_284
 
 
 def _integer_power(g: FinFunc, q) -> tuple[int, FinFunc]:
@@ -203,9 +226,15 @@ def good_bad_split(tree: Tree, g: FinFunc, q, j: int) -> GoodBadSplit:
     q must be an integer >= 2 so that |g|**q and the level-set threshold
     2**(jq) stay rational and the whole construction is exact.  A level
     set larger than `maximal.MAX_LEVEL_SET` vertices raises
-    EnumerationError rather than truncating silently.
+    EnumerationError rather than truncating silently.  A threshold whose
+    exponent |jq| passes MAX_THRESHOLD_BITS raises ValueError before
+    2**(jq) is formed.
     """
     qi, phi = _integer_power(g, q)
+    if abs(j * qi) > MAX_THRESHOLD_BITS:
+        raise ValueError(
+            f"threshold 2**{j * qi} is too large to print: |jq| exceeds {MAX_THRESHOLD_BITS}"
+        )
     lam = Fraction(2) ** (j * qi)
     scale = Fraction(2) ** j
     omega, certificate = maximal_level_set(tree, phi, lam)
@@ -254,22 +283,58 @@ def good_bad_split(tree: Tree, g: FinFunc, q, j: int) -> GoodBadSplit:
 
 def _verify_split_contracts(tree, g, good, bad_parts, envelopes, omega) -> None:
     traps = [r for _, r in bad_parts]
+    # overlapping bands have comparable roots, and the upper root is at most
+    # `top` levels above the lower one: walk each trapezoid's father chain
+    # against the trapezoids keyed by root, then name the first pair
+    by_root: dict[Vertex, list[tuple[int, int, int]]] = {}
     for i, r in enumerate(traps):
-        for s in traps[i + 1 :]:
-            if bands_overlap(r, s):
-                raise AssertionError(f"selected trapezoids {r} and {s} overlap")
+        by_root.setdefault(r.root, []).append((i, *r.depth_range()))
+    top = max((r.depth_range()[1] for r in traps), default=0)
+    clashes = []
+    for i, r in enumerate(traps):
+        lo, hi = r.depth_range()
+        root = r.root
+        for gap in range(top - lo + 1):
+            for k, s_lo, s_hi in by_root.get(root, ()):
+                if k != i and max(lo + gap, s_lo) <= min(hi + gap, s_hi):
+                    clashes.append((min(i, k), max(i, k)))
+            root = father(root)
+    if clashes:
+        i, k = min(clashes)
+        raise AssertionError(f"selected trapezoids {traps[i]} and {traps[k]} overlap")
+    listed = []
     for piece, r in bad_parts:
-        for v in members(tree, r):
-            if v not in omega:
-                raise AssertionError(f"selected trapezoid {r} leaves the level set")
+        mem = set(members(tree, r))
+        if not mem <= omega:
+            raise AssertionError(f"selected trapezoid {r} leaves the level set")
         if integral(tree, piece) != 0:
             raise AssertionError("bad piece has nonzero integral")
-    for (piece, r), env in zip(bad_parts, envelopes):
-        for v in piece.support():
-            if not env.contains(v):
+        listed.append(mem)
+    # a trapezoid whose band lies in its envelope's band puts every listed
+    # member inside that envelope; only the other vertices are looked up
+    held: set[Vertex] = set()
+    for (piece, r), env, mem in zip(bad_parts, envelopes, listed):
+        inside = mem if band_within(r, env) else set()
+        for v, _ in piece.items():
+            if v not in inside and not env.contains(v):
                 raise AssertionError("bad piece escapes its envelope")
+        held |= inside
+    # any other w is covered when its ancestor at some envelope root level
+    # roots an envelope whose band holds w's depth below it
+    env_bands: dict[Vertex, list[tuple[int, int]]] = {}
+    for e in envelopes:
+        env_bands.setdefault(e.root, []).append(e.depth_range())
+    root_levels = sorted({level(e.root) for e in envelopes})
     for w in omega:
-        if not any(env.contains(w) for env in envelopes):
+        if w in held:
+            continue
+        lw = level(w)
+        if not any(
+            lo <= lr - lw <= hi
+            for lr in root_levels
+            if lr >= lw
+            for lo, hi in env_bands.get(ancestor(w, lr - lw), ())
+        ):
             raise AssertionError(f"level-set vertex {w} is not covered by an envelope")
     total = good
     for piece, _ in bad_parts:

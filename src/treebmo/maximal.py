@@ -51,7 +51,7 @@ from .sets import (
     rooted_bands,
     witness_key,
 )
-from .tree import Tree, Vertex, Window, ancestor, level
+from .tree import Tree, Vertex, Window, father, level
 
 
 @dataclass(frozen=True)
@@ -100,18 +100,32 @@ def _trapezoid_masses(
     starts: list[Vertex],
     keep: Callable[[Vertex, int], bool],
 ) -> Iterator[tuple[AdmissibleTrapezoid, Fraction, Fraction]]:
-    """(trapezoid, integral of phi over it, its measure) along the stream."""
-    masses = [(val * tree.weight(v), v) for v, val in phi.items()]
+    """(trapezoid, integral of phi over it, its measure) along the stream.
+
+    Each support mass is added, as the stream's roots rise, to the
+    per-depth totals of each of its ancestors: the father chains of the
+    support climb once, one level at a time, to the highest root so far.
+    A band's integral is then a sum over the depths held below its root.
+    """
+    # [vertex on the chain, its level, depth of the support vertex below it, mass]
+    chains = [[v, level(v), 0, val * tree.weight(v)] for v, val in phi.items()]
+    below: dict[Vertex, dict[int, Fraction]] = {}
+    reached = min((c[1] for c in chains), default=0)  # every chain is indexed to here
     # the heights whose band [h, 2h) reaches depth t below the root
     for root, hs in rooted_bands(starts, lambda t: range(t // 2 + 1, t + 1), keep):
         root_level = level(root)
-        depths = []
-        for mass, v in masses:
-            d = root_level - level(v)
-            if d >= 0 and ancestor(v, d) == root:
-                depths.append((d, mass))
+        while reached < root_level:
+            reached += 1
+            for c in chains:
+                if c[1] < reached:
+                    c[0], c[1], c[2] = father(c[0]), reached, c[2] + 1
+                    totals = below.setdefault(c[0], {})
+                    d = c[2]
+                    totals[d] = totals[d] + c[3] if d in totals else c[3]
+        depths = below.get(root, {})
         for h in hs:
-            total = sum((m for d, m in depths if h <= d < 2 * h), Fraction(0))
+            band = [m for d, m in depths.items() if h <= d < 2 * h]
+            total = sum(band[1:], band[0]) if band else Fraction(0)
             yield AdmissibleTrapezoid(root, h), total, h * tree.level_weight(root_level)
 
 
@@ -167,10 +181,10 @@ def threshold_trapezoids(
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("threshold must be positive")
-    l1 = lp_power(tree, phi, 1)
+    cap = lp_power(tree, phi, 1) / lam
 
     def keep(u: Vertex, t: int) -> bool:
-        return _trapezoid_mu_min(tree, level(u), t) * lam < l1
+        return _trapezoid_mu_min(tree, level(u), t) < cap
 
     out = [
         r
@@ -193,9 +207,20 @@ def maximal_level_set(
     trapezoid) or it belongs to some trapezoid whose average does, so the
     level set is the union of the threshold trapezoids plus the vertices
     where phi itself exceeds lam.  A level set predicted to exceed
-    MAX_LEVEL_SET vertices raises EnumerationError before any is listed.
+    MAX_LEVEL_SET vertices raises EnumerationError before any is listed,
+    and before the climb when one trapezoid alone would pass the budget.
     """
     lam = Fraction(lam)
+    # for phi >= 0, the trapezoid of height h holding a support vertex v at
+    # depth h averages at least phi(v) / (h * m**h), whatever the level of v;
+    # it holds m**h + ... + m**(2h - 1) vertices
+    m, h = tree.m, 1
+    while (size := m**h * (m**h - 1) // (m - 1)) <= MAX_LEVEL_SET:
+        h += 1
+    if 0 < lam * h * m**h < phi.max_abs():
+        raise EnumerationError(
+            f"level set holds a trapezoid of {size} vertices, over the budget {MAX_LEVEL_SET}"
+        )
     traps = threshold_trapezoids(tree, phi, lam)
     predicted = sum(member_count(tree, r) for r in traps)
     if predicted > MAX_LEVEL_SET:
@@ -228,15 +253,37 @@ def _cz_mu_min(tree: Tree, x_level: int, t: int) -> Fraction:
 SHARP_RULE = "oscillation <= (||f||_q^q/measure)^(1/q) + ||f||_1/measure"
 
 
+def _stop(
+    tree: Tree,
+    holds: Callable[[Fraction, NormValue], bool],
+    x_level: int,
+    t: int,
+    best: NormValue,
+) -> Fraction | None:
+    """The least measure of a CZ set rooted t levels above a start at
+    x_level, if the stop test there ends a climb holding best; else None."""
+    mu_min = _cz_mu_min(tree, x_level, t)
+    return mu_min if holds(mu_min, best) else None
+
+
 class _Shared:
     """What the points of one `sharp_field` share as their climbs run: the
     value of each CZ set, the best (value, set) of each wave, keyed by its
-    root and its height t above the start, and the stop test."""
+    root and its height t above the start, and the stop test with each
+    outcome, keyed by the start's level, t and the running best."""
 
     def __init__(self) -> None:
         self.values: dict[CZSet, NormValue] = {}
         self.waves: dict[tuple[Vertex, int], tuple[NormValue, CZSet]] = {}
         self.holds: Callable[[Fraction, NormValue], bool] | None = None
+        self.stops: dict[tuple[int, int, NormValue], Fraction | None] = {}
+
+    def stop(self, tree: Tree, x_level: int, t: int, best: NormValue) -> Fraction | None:
+        """`_stop` with this field's test, found once per (x_level, t, best)."""
+        key = (x_level, t, best)
+        if key not in self.stops:
+            self.stops[key] = _stop(tree, self.holds, x_level, t, best)
+        return self.stops[key]
 
     def wave(
         self,
@@ -295,15 +342,19 @@ def sup_over_cz(
     else:
         if _shared.holds is None:
             _shared.holds = oscillation_bound(tree, f, q)
-        bound_holds = _shared.holds
         x_level = level(starts[0])
 
     def keep(u: Vertex, t: int) -> bool:
         nonlocal floor
-        mu_min = _cz_mu_min(tree, level(u), t)
-        if best.value.is_zero() or not bound_holds(mu_min, best.value):
+        if best.value.is_zero():
             return True
-        floor = mu_min if floor is None else min(floor, mu_min)
+        if _shared is None:
+            stop = _stop(tree, bound_holds, level(u), t, best.value)
+        else:
+            stop = _shared.stop(tree, x_level, t, best.value)
+        if stop is None:
+            return True
+        floor = stop if floor is None else min(floor, stop)
         return False
 
     for root, hs in rooted_bands(starts, feasible_heights, keep):

@@ -198,6 +198,22 @@ def test_constants_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "j, message",
+    [
+        ("-3000", "level set holds a trapezoid of 261632 vertices, over the budget 100000"),
+        ("100000", "threshold 2**200000 is too large to print: |jq| exceeds 14284"),
+        ("10000000000", "threshold 2**20000000000 is too large to print: |jq| exceeds 14284"),
+    ],
+)
+def test_decompose_far_threshold_exit_two(tmp_path, capsys, j, message):
+    # refused before 2**(jq) is formed or the level-set climb starts
+    path = write_func(tmp_path, "g.json", FinFunc.indicator(U))
+    code = main(["decompose", "--q", "2", "--j", j, "--in", path])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_usage_error_exit_two(capsys):
     code = main(["measure", "--vertex", "0:9"])
     capsys.readouterr()

@@ -84,6 +84,15 @@ class TestFinFunc:
         assert f.support() == [V]
         assert (f - f).support() == []
 
+    def test_repeated_vertices_are_summed_in_first_seen_order(self):
+        f = FinFunc([(U, 1), (V, 2), (U, Fraction(1, 2)), (O, 3), (V, -2)])
+        assert list(f.items()) == [(U, Fraction(3, 2)), (O, Fraction(3))]
+        assert not FinFunc([(U, 1), (U, -1)])
+        assert list(FinFunc([(U, 1), (U, -1), (V, 1), (U, 2)]).items()) == [
+            (V, Fraction(1)),
+            (U, Fraction(2)),
+        ]
+
     def test_algebra(self):
         f = FinFunc({U: Fraction(1), V: Fraction(-2)})
         g = FinFunc({U: Fraction(-1), V: Fraction(1)})

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,27 +9,35 @@ from treebmo.hardy import (
     MAX_UNIVERSE,
     GaugeResult,
     GoodBadSplit,
+    _ceil_log2,
     _gauge_lp,
+    _verify_split_contracts,
+    admissible_trapezoids_within,
     good_bad_split,
     h1_duality_lower,
     h1_estimate,
     h1_lp_gauge,
     is_atom,
     normalize_to_atom,
+    select_maximal_disjoint,
     telescoping_h1_upper,
 )
+from treebmo.maximal import maximal_level_set
 from treebmo.randgen import nonzero_function
 from treebmo.sets import (
     AdmissibleTrapezoid,
     CZSet,
+    band_within,
+    bands_overlap,
     cz_measure,
     envelope,
     member_count,
     members,
     smallest_enclosing_cz,
+    witness_key,
 )
 from treebmo.simplex import InfeasibleError
-from treebmo.tree import Tree, Vertex, Window
+from treebmo.tree import Tree, Vertex, Window, ancestor, father, level
 
 T2 = Tree(2)
 O = Vertex(0, ())
@@ -170,6 +179,184 @@ class TestGoodBadSplit:
         phi = FinFunc({v: val * val for v, val in g.items()})
         for x in Window(Vertex(3, ()), 6).members(T2):
             assert (bf.hl_maximal_oracle(T2, phi, x) > lam) == (x in sp.omega)
+
+
+def _level_sets(tree: Tree) -> list[frozenset]:
+    """Seeded level sets of |g|**q, q in {2, 3}, one and two scales below
+    the top, and seeded unions of trapezoids and loose vertices with a few
+    vertices taken out, so that partial levels occur too."""
+    window = Window(Vertex(2, ()), 4 if tree.m == 2 else 3)
+    out = []
+    for i in range(8):
+        g = nonzero_function(tree, window, 113, ("atom-combo", "rademacher")[i % 2], i)
+        q = 2 + (i // 2) % 2
+        j = _ceil_log2(g.max_abs()) - 1 - i // 4
+        phi = FinFunc({v: abs(val) ** q for v, val in g.items()})
+        out.append(maximal_level_set(tree, phi, Fraction(2) ** (j * q))[0])
+    size = member_count(tree, window)
+    for i in range(8):
+        rng = random.Random(f"omega:{tree.m}:{i}")
+        omega = set()
+        for _ in range(rng.randint(1, 4)):
+            root = window.member(tree, rng.randrange(size))
+            omega.update(members(tree, AdmissibleTrapezoid(root, rng.randint(1, 2))))
+        omega.update(window.member(tree, k) for k in rng.sample(range(size), 5))
+        for v in rng.sample(sorted(omega), min(3, len(omega) // 4)):
+            omega.discard(v)
+        out.append(frozenset(omega))
+    return out
+
+
+def _within_oracle(tree: Tree, omega) -> set:
+    """Every admissible trapezoid whose members all lie in omega, by
+    listing the members of each one that could fit."""
+    out = {AdmissibleTrapezoid(w, 1, degenerate=True) for w in omega}
+    h_top = 0
+    while member_count(tree, AdmissibleTrapezoid(O, h_top + 1)) <= len(omega):
+        h_top += 1
+    roots = {ancestor(w, d) for w in omega for d in range(1, 2 * h_top)}
+    for r in roots:
+        for h in range(1, h_top + 1):
+            cand = AdmissibleTrapezoid(r, h)
+            if all(v in omega for v in members(tree, cand)):
+                out.add(cand)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3])
+class TestSplitHelpers:
+    def test_trapezoids_within_against_enumeration(self, m):
+        tree = Tree(m)
+        for omega in _level_sets(tree):
+            found = admissible_trapezoids_within(tree, omega)
+            assert len(found) == len(set(found))
+            assert set(found) == _within_oracle(tree, omega)
+
+    def test_selection_against_all_pairs(self, m):
+        tree = Tree(m)
+        for omega in _level_sets(tree):
+            cands = sorted(_within_oracle(tree, omega), key=lambda r: witness_key(tree, r))
+            # the maximal candidates by an all-pairs band_within scan, then
+            # the top-down greedy against every earlier pick
+            maximal = [
+                r for r in cands if not any(s != r and band_within(r, s) for s in cands)
+            ]
+            maximal.sort(key=lambda r: (-level(r.root), witness_key(tree, r)))
+            expected = []
+            for r in maximal:
+                if not any(bands_overlap(r, s) for s in expected):
+                    expected.append(r)
+            picks = select_maximal_disjoint(tree, cands)
+            assert picks == expected
+            assert select_maximal_disjoint(tree, cands[::-1]) == picks
+            seen = set()
+            for r in picks:
+                mem = set(members(tree, r))
+                assert not mem & seen and mem <= omega
+                seen |= mem
+            envs = [envelope(r) for r in picks]
+            assert all(any(e.contains(w) for e in envs) for w in omega)
+
+
+class TestSplitContracts:
+    """`_verify_split_contracts` on tampered copies of a real split."""
+
+    def _split(self):
+        g = nonzero_function(T2, WINDOW, 113, "rademacher", 3)
+        sp = good_bad_split(T2, g, 3, _ceil_log2(g.max_abs()) - 1)
+        assert len(sp.bad_parts) == 3
+        return g, sp
+
+    def _fails(self, g, good, bad_parts, omega, message, envs=None):
+        if envs is None:
+            envs = [envelope(r) for _, r in bad_parts]
+        with pytest.raises(AssertionError) as err:
+            _verify_split_contracts(T2, g, good, tuple(bad_parts), envs, omega)
+        assert str(err.value) == message
+
+    def test_untampered_split_passes(self):
+        g, sp = self._split()
+        envs = [envelope(r) for _, r in sp.bad_parts]
+        _verify_split_contracts(T2, g, sp.good, sp.bad_parts, envs, sp.omega)
+
+    def test_dropped_envelope(self):
+        g, sp = self._split()
+        dropped = 0
+        for k in range(len(sp.bad_parts)):
+            parts = sp.bad_parts[:k] + sp.bad_parts[k + 1 :]
+            envs = [envelope(r) for _, r in parts]
+            bare = [w for w in sp.omega if not any(e.contains(w) for e in envs)]
+            if not bare:
+                continue  # the other envelopes still cover the level set
+            dropped += 1
+            self._fails(
+                g, sp.good, parts, sp.omega,
+                f"level-set vertex {bare[0]} is not covered by an envelope",
+            )
+            # one-vertex envelopes at the bare vertices cover them again, so
+            # the missing piece shows only in the reconstruction
+            patches = [CZSet(w, 1, degenerate=True) for w in bare]
+            self._fails(
+                g, sp.good, parts, sp.omega,
+                "good + bad does not reconstruct the function", envs + patches,
+            )
+        assert dropped
+
+    def test_overlapping_trapezoids(self):
+        g, sp = self._split()
+        # r itself, and r's band with one level more (depths h .. 2h+1
+        # below the father)
+        extras = [r for _, r in sp.bad_parts]
+        extras += [AdmissibleTrapezoid(father(r.root), r.h + 1) for r in extras]
+        for s in extras:
+            parts = list(sp.bad_parts) + [(FinFunc(), s)]
+            traps = [t for _, t in parts]
+            mems = [set(members(T2, t)) for t in traps]
+            first = min(
+                (a, b)
+                for a in range(len(traps))
+                for b in range(a + 1, len(traps))
+                if mems[a] & mems[b]
+            )
+            omega = sp.omega | mems[-1]
+            self._fails(
+                g, sp.good, parts, omega,
+                f"selected trapezoids {traps[first[0]]} and {traps[first[1]]} overlap",
+            )
+
+    def test_piece_outside_its_envelope(self):
+        g, sp = self._split()
+        far = FinFunc({Vertex(9, (1,)): Fraction(1), Vertex(9, (1, 1, 0)): Fraction(-4)})
+        assert integral(T2, far) == 0
+        assert any(piece for piece, _ in sp.bad_parts)
+        for k, (piece, r) in enumerate(sp.bad_parts):
+            parts = list(sp.bad_parts)
+            parts[k] = (piece + far, r)
+            self._fails(g, sp.good, parts, sp.omega, "bad piece escapes its envelope")
+            if not piece:
+                continue
+            # an untampered piece paired with an envelope that misses it
+            envs = [envelope(r) for _, r in sp.bad_parts]
+            envs[k] = CZSet(Vertex(9, (1,)), 1)
+            self._fails(
+                g, sp.good, sp.bad_parts, sp.omega, "bad piece escapes its envelope", envs
+            )
+        # the same with a piece that lies wholly in its trapezoid
+        g = FinFunc.indicator(U)
+        sp = good_bad_split(T2, g, 2, -1)
+        ((piece, r),) = sp.bad_parts
+        assert set(piece.support()) <= set(members(T2, r))
+        self._fails(
+            g, sp.good, sp.bad_parts, sp.omega, "bad piece escapes its envelope",
+            [CZSet(Vertex(9, (1,)), 1)],
+        )
+
+    def test_good_plus_bad_is_not_g(self):
+        g, sp = self._split()
+        self._fails(
+            g, sp.good + FinFunc.indicator(U), sp.bad_parts, sp.omega,
+            "good + bad does not reconstruct the function",
+        )
 
 
 class TestTelescoping:

@@ -91,6 +91,16 @@ class TestLevelSet:
         with pytest.raises(EnumerationError):
             maximal_level_set(T2, CHI_U, Fraction(1, 2**40))
 
+    def test_one_trapezoid_over_budget_is_refused_before_the_climb(self):
+        # a height-9 trapezoid holds 261 632 vertices and averages at least
+        # 1 / (9 * 2**9) with U at its top depth; the climb to 2**-6000
+        # would pass thousands of levels
+        with pytest.raises(EnumerationError, match="holds a trapezoid of 261632 vertices"):
+            maximal_level_set(T2, CHI_U, Fraction(1, 2**6000))
+        # where that bound is not strict, the predicted size decides as before
+        with pytest.raises(EnumerationError, match="spans about"):
+            maximal_level_set(T2, CHI_U, Fraction(1, 9 * 2**9))
+
     @pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(1, 10), Fraction(3, 4)])
     def test_matches_pointwise_oracle(self, lam):
         phi = FinFunc({U: Fraction(1), Vertex(1, (1,)): Fraction(1, 2)})
@@ -221,11 +231,17 @@ class TestSharpField:
 
     def test_points_share_waves_and_stop_test(self, monkeypatch):
         f = nonzero_function(T2, WINDOW, 31, "sparse", 0)
-        built, offered = [], []
+        built, offered, tests = [], [], []
 
         def counted_bound(tree, g, q):
             built.append(q)
-            return oscillation_bound(tree, g, q)
+            holds = oscillation_bound(tree, g, q)
+
+            def counted(mu, best):
+                tests.append(mu)
+                return holds(mu, best)
+
+            return counted
 
         class CountedArgMax(ArgMax):
             def offer(self, value, witness):
@@ -240,6 +256,12 @@ class TestSharpField:
         # with waves, a point offers one set per wave
         per_set = sum(r.certificate.sets_evaluated - 1 for r in field.values())
         assert len(offered) < per_set
+        # points at one level holding the same best share each stop test
+        shared_tests = len(tests)
+        tests.clear()
+        for v in WINDOW.members(T2):
+            sharp_maximal(T2, f, 1, v)
+        assert 0 < shared_tests < len(tests)
 
     def test_max_of_field_is_witness_oscillation(self):
         f = CHI_U
