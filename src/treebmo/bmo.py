@@ -13,14 +13,15 @@ constants shows up only as tested shift invariance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .funcs import Exponent, FinFunc, NormValue, oscillation, pairing
 from .maximal import CutoffCertificate, sup_over_cz
-from .sets import CZSet, band_within, enlargement, member_count, members
-from .tree import Tree, Vertex, Window
+from .sets import CZSet, band_within, enlargement, member_count, ordered_members
+from .tree import Tree, Vertex, Window, ancestor, level
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,30 @@ def hormander_constant(
     the first zero-row member; later zero-row pairs repeat that value and
     zero-zero pairs vanish, so visiting these pairs in (y, z) member order
     with a strict > gives the value and witness of a scan of all pairs.
+
+    The arithmetic is in integers.  Each row vertex and entry vertex is
+    indexed by its ancestors up to the window's root, with their depths, so
+    membership in a set or its enlargement is one lookup against the
+    set's integer depth bands.  Each entry K(y, x) * mu({x}) is kept as an
+    integer over one common denominator, so pair totals add and compare
+    as integers, and the value is formed once at the end.
     """
     win = kernel.window
     for x in kernel.x_support():
         if not win.contains(x):
             raise DomainError(f"kernel x-support vertex {x} escapes the window")
-    rows = kernel.rows()
-    best = Fraction(0)
+    top = level(win.root)
+    depths: dict[Vertex, dict[Vertex, int]] = {}
+    for y, x, _ in kernel.entries:
+        for v in (y, x):
+            if v not in depths:
+                depths[v] = {ancestor(v, d): d for d in range(top - level(v) + 1)}
+    weighted = [(y, x, val * tree.weight(x)) for y, x, val in kernel.entries]
+    unit = math.lcm(*(w.denominator for _, _, w in weighted))
+    rows: dict[Vertex, dict[Vertex, int]] = {}
+    for y, x, w in weighted:
+        rows.setdefault(y, {})[x] = w.numerator * (unit // w.denominator)
+    best = 0
     best_set: CZSet | None = None
     best_pair: tuple[Vertex, Vertex] | None = None
     for s in family:
@@ -154,29 +172,40 @@ def hormander_constant(
             raise DomainError(f"enlargement of {s} escapes the declared window")
         if member_count(tree, s) > 200_000:
             raise DomainError(f"{s} is too large to scan pairwise")
+        root = s.root
+        lo, hi = s.depth_range()
+        g_lo, g_hi = grown.depth_range()
         # each member's kernel row off the enlargement, where it is nonzero
         restricted = {}
         for y, row in rows.items():
-            if s.contains(y):
-                r = {x: v for x, v in row.items() if v and not grown.contains(x)}
+            d = depths[y].get(root)
+            if d is not None and lo <= d <= hi:
+                r = {}
+                for x, w in row.items():
+                    dx = depths[x].get(root)
+                    if w and (dx is None or not g_lo <= dx <= g_hi):
+                        r[x] = w
                 if r:
                     restricted[y] = r
         if not restricted:
             continue
+        zero = next((v for v in ordered_members(tree, s) if v not in restricted), None)
         # Vertex tuples order as (anchor, word), the member order of the pairs
-        ys = sorted(restricted)
-        pairs = [(y, z) for i, y in enumerate(ys) for z in ys[i + 1 :]]
-        zero = min((v for v in members(tree, s) if v not in restricted), default=None)
-        if zero is not None:
-            pairs += [(zero, y) if zero < y else (y, zero) for y in ys]
-        for y, z in sorted(pairs):
-            row_y = restricted.get(y, {})
-            row_z = restricted.get(z, {})
-            total = Fraction(0)
-            for x in row_y.keys() | row_z.keys():
-                diff = row_y.get(x, 0) - row_z.get(x, 0)
-                if diff:
-                    total += abs(diff) * tree.weight(x)
-            if total > best:
-                best, best_set, best_pair = total, s, (y, z)
-    return HormanderResult(best, best_set, best_pair, len(family))
+        order = sorted(restricted if zero is None else [*restricted, zero])
+        # |a - b| = |a| + |b| off the keys the rows share, and a pair whose
+        # row sizes add up to at most best cannot pass it
+        size = {y: sum(map(abs, r.values())) for y, r in restricted.items()}
+        empty: dict[Vertex, int] = {}
+        for i, y in enumerate(order):
+            row_y = restricted.get(y, empty)
+            for z in order[i + 1 :]:
+                total = size.get(y, 0) + size.get(z, 0)
+                if total <= best:
+                    continue
+                row_z = restricted.get(z, empty)
+                for x in row_y.keys() & row_z.keys():
+                    a, b = row_y[x], row_z[x]
+                    total += abs(a - b) - abs(a) - abs(b)
+                if total > best:
+                    best, best_set, best_pair = total, s, (y, z)
+    return HormanderResult(Fraction(best, unit), best_set, best_pair, len(family))

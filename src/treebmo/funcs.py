@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .sets import TrapezoidLike, set_measure
-from .tree import Tree, Vertex
+from .tree import Tree, Vertex, depth_below
 
 
 class ZeroMeasureError(ValueError):
@@ -351,20 +351,29 @@ def lq_mean(pairs: list[tuple[Fraction, Fraction]], c, mu, q) -> NormValue:
     exactness: an exact rational for q in {1, inf}, an exact square root
     for q = 2, a flagged float (rel. err <= 1e-12) otherwise.
     """
+    return _lq_mean(pairs, c, mu, q, 1)
+
+
+def _lq_mean(pairs, c, mu, q, unit: int) -> NormValue:
+    """`lq_mean` with the values v and the centre c counted in units of
+    1/unit.  When v, w, c and mu are all integers, the sums for q in
+    {1, 2} stay integers and one Fraction is formed at the end."""
     q = Exponent.of(q)
     if q.is_inf:
-        return NormValue.exact1(max((abs(v - c) for v, _ in pairs), default=Fraction(0)))
+        top = max((abs(v - c) for v, _ in pairs), default=0)
+        return NormValue.exact1(Fraction(top, unit))
     # f - c is -c off the pairs; c = 0 needs no weight total
-    rest = mu - sum((w for _, w in pairs), Fraction(0)) if c else 0
+    rest = mu - sum(w for _, w in pairs) if c else 0
+    # both sums are >= 0, so the NormValues skip the sign check
     if q.value == 1:
-        num = sum((abs(v - c) * w for v, w in pairs), Fraction(0))
-        return NormValue.exact1((num + abs(c) * rest) / mu)
+        num = sum(abs(v - c) * w for v, w in pairs)
+        return NormValue(Fraction(num + abs(c) * rest, mu * unit), 1)
     if q.value == 2:
-        num = sum(((v - c) ** 2 * w for v, w in pairs), Fraction(0))
-        return NormValue.exact_sqrt((num + c * c * rest) / mu)
+        num = sum((v - c) ** 2 * w for v, w in pairs)
+        return NormValue(Fraction(num + c * c * rest, mu * unit * unit), 2)
     qf = float(q)
-    cf = _frac_to_float(c)
-    num = sum(abs(_frac_to_float(v) - cf) ** qf * _frac_to_float(w) for v, w in pairs)
+    cf = _frac_to_float(Fraction(c, unit))
+    num = sum(abs(_frac_to_float(Fraction(v, unit)) - cf) ** qf * _frac_to_float(w) for v, w in pairs)
     num += abs(cf) ** qf * _frac_to_float(rest)
     return NormValue.approximate((num / _frac_to_float(mu)) ** (1.0 / qf))
 
@@ -395,13 +404,36 @@ def oscillation(tree: Tree, f: FinFunc, s: TrapezoidLike, q) -> NormValue:
     """q-oscillation of f over s: the Lq mean of |f - mean(f)| on s.
 
     Only the support of f is visited; the off-support members of s enter
-    through their total measure, since f vanishes there.
+    through their total measure, since f vanishes there.  For q in {1, 2}
+    the sums are integers: with B the lcm of the denominators of f on s and
+    levels the number of depths d = lo..hi of s, a member at depth d weighs
+    m**(level(root) - hi) * m**(hi - d) and s measures m**(level(root) - hi)
+    * M, where M = levels * m**hi.  The common power cancels, so the mean
+    oscillation is N / (B * M**2) for q = 1 and N / (B**2 * M**3) for q = 2,
+    with N an integer.  A set holding no support vertex gives the zero of
+    its q.  Other exponents take the Fraction and float route of `lq_mean`.
     """
     q = Exponent.of(q)
     if q.is_inf:
         raise ValueError("oscillation requires a finite exponent")
-    pairs, mu = on_set(tree, f, s)
-    return lq_mean(pairs, sum((v * w for v, w in pairs), Fraction(0)) / mu, mu, q)
+    if q.integer() not in (1, 2):
+        pairs, mu = on_set(tree, f, s)
+        return lq_mean(pairs, sum((v * w for v, w in pairs), Fraction(0)) / mu, mu, q)
+    lo, hi = s.depth_range()
+    if hi < lo:
+        raise ZeroMeasureError("cannot average over a set of measure 0")
+    held = []
+    for v, val in f.items():
+        d = depth_below(v, s.root)
+        if d is not None and lo <= d <= hi:
+            held.append((val, d))
+    unit = math.lcm(*(val.denominator for val, _ in held))
+    m = tree.m
+    total = (hi - lo + 1) * m**hi
+    scaled = [(val.numerator * (unit // val.denominator), m ** (hi - d)) for val, d in held]
+    # the mean is centre / (unit * total); count values in units of that
+    centre = sum(num * w for num, w in scaled)
+    return _lq_mean([(num * total, w) for num, w in scaled], centre, total, q, unit * total)
 
 
 def oscillation_bound(tree: Tree, f: FinFunc, q) -> Callable[[Fraction, NormValue], bool]:

@@ -5,8 +5,12 @@ precision so nothing exact is ever silently rounded.
 
 from __future__ import annotations
 
-import json
+import io
+import math
+import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from .bmo import BmoReport, HormanderResult, KernelWindow
 from .funcs import FinFunc, NormValue
@@ -24,7 +28,16 @@ APPROX_PRECISION = 1e-12
 
 
 def frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        # CPython prints no integer of more than sys.get_int_max_str_digits() digits
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        raise ValueError(
+            f"a rational of {bits} bits is too large to print: its numerator "
+            f"or denominator passes {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def parse_frac(text: str) -> Fraction:
@@ -234,4 +247,66 @@ def parse_kernel(tree: Tree, data) -> KernelWindow:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2), for objects
+    whose dicts have str keys (every report's do).
+
+    With `indent` set, json falls back to its pure-Python encoder; this
+    writer makes the same choices (sorted keys, ASCII escapes, float repr,
+    NaN and Infinity, "{}" and "[]" for empty containers) directly.
+    """
+    buf = io.StringIO()  # holds one string, not a list of the pieces
+    _write(obj, buf.write, "\n")
+    return buf.getvalue()
+
+
+def _write(o, out: Callable[[str], object], newline: str) -> None:
+    if isinstance(o, str):
+        out(encode_basestring_ascii(o))
+    elif o is None:
+        out("null")
+    elif o is True:
+        out("true")
+    elif o is False:
+        out("false")
+    elif isinstance(o, int):
+        out(int.__repr__(o))
+    elif isinstance(o, float):
+        out(_float_str(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            out(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out(sep)
+            out(encode_basestring_ascii(key))
+            out(": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)

@@ -20,7 +20,8 @@ against brute-force oracles with no cutoff.
 from x, the CZ sets rooted at ancestor(x, t) with the heights feasible t
 levels below, depends only on that root and t, so the points share it:
 each set is evaluated once, each wave's best set is found once, and each
-point offers one set per wave.
+point offers one set per wave.  Sets that hold no support vertex are
+settled as zero from an index of the support by root, with no evaluation.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .sets import (
     rooted_bands,
     witness_key,
 )
-from .tree import Tree, Vertex, Window, father, level
+from .tree import Tree, Vertex, Window, depth_below, father, level
 
 
 @dataclass(frozen=True)
@@ -266,24 +267,53 @@ def _stop(
     return mu_min if holds(mu_min, best) else None
 
 
+_UNSET = object()
+
+
 class _Shared:
     """What the points of one `sharp_field` share as their climbs run: the
     value of each CZ set, the best (value, set) of each wave, keyed by its
     root and its height t above the start, and the stop test with each
-    outcome, keyed by the start's level, t and the running best."""
+    outcome, keyed by the start's level, t and the running best.
+
+    It also indexes the support of f by root: the depths of the support
+    vertices below each root climbed.  A set holding none of them
+    oscillates by zero and is settled without being evaluated, and a
+    wave's zero sets reduce to the one of least height, which has the
+    least measure and so wins every tie among them.
+    """
 
     def __init__(self) -> None:
         self.values: dict[CZSet, NormValue] = {}
         self.waves: dict[tuple[Vertex, int], tuple[NormValue, CZSet]] = {}
         self.holds: Callable[[Fraction, NormValue], bool] | None = None
         self.stops: dict[tuple[int, int, NormValue], Fraction | None] = {}
+        self.support: list[Vertex] = []
+        self.zero = NormValue.zero()
+        self.depths: dict[Vertex, list[int]] = {}
+
+    def start(self, tree: Tree, f: FinFunc, q: Exponent) -> None:
+        """Build what depends on f and q, once per field."""
+        if self.holds is None:
+            self.holds = oscillation_bound(tree, f, q)
+            self.support = [v for v, _ in f.items()]
+            self.zero = lq_mean([], 0, 1, q)
 
     def stop(self, tree: Tree, x_level: int, t: int, best: NormValue) -> Fraction | None:
         """`_stop` with this field's test, found once per (x_level, t, best)."""
         key = (x_level, t, best)
-        if key not in self.stops:
-            self.stops[key] = _stop(tree, self.holds, x_level, t, best)
-        return self.stops[key]
+        stop = self.stops.get(key, _UNSET)
+        if stop is _UNSET:
+            stop = self.stops[key] = _stop(tree, self.holds, x_level, t, best)
+        return stop
+
+    def depths_below(self, root: Vertex) -> list[int]:
+        """Depths below root of the support vertices it lies above."""
+        depths = self.depths.get(root)
+        if depths is None:
+            below = (depth_below(v, root) for v in self.support)
+            depths = self.depths[root] = [d for d in below if d is not None]
+        return depths
 
     def wave(
         self,
@@ -298,9 +328,17 @@ class _Shared:
         top = self.waves.get((root, t))
         if top is None:
             values = self.values
+            depths = self.depths_below(root)
             pairs = []
+            zero_offered = False  # hs ascend, so the first zero set is the least
             for h in hs:
                 s = CZSet(root, h)
+                lo, hi = s.depth_range()
+                if not any(lo <= d <= hi for d in depths):
+                    if not zero_offered:
+                        zero_offered = True
+                        pairs.append((self.zero, s))
+                    continue
                 if s not in values:
                     values[s] = set_value(s)
                 pairs.append((values[s], s))
@@ -332,7 +370,10 @@ def sup_over_cz(
     field.  That order is total (value, then the witness_key, unique per
     set), so the best of the wave bests is the best over the sets; keep
     reads the running best only between waves, so the stop and the count
-    of sets evaluated are those of the set-by-set climb.
+    of sets evaluated are those of the set-by-set climb.  A wave of value
+    zero is not offered: while the best is zero it is held by the start's
+    degenerate set, whose measure m**level(x) is below that of any CZ set
+    holding x, so it wins every tie at zero.
     """
     best = ArgMax(tree, NormValue.zero(), CZSet(starts[0], 1, degenerate=True))
     evaluated = 1
@@ -340,8 +381,7 @@ def sup_over_cz(
     if _shared is None:
         bound_holds = oscillation_bound(tree, f, q)
     else:
-        if _shared.holds is None:
-            _shared.holds = oscillation_bound(tree, f, q)
+        _shared.start(tree, f, q)
         x_level = level(starts[0])
 
     def keep(u: Vertex, t: int) -> bool:
@@ -360,7 +400,9 @@ def sup_over_cz(
     for root, hs in rooted_bands(starts, feasible_heights, keep):
         evaluated += len(hs)
         if _shared is not None:
-            best.offer(*_shared.wave(tree, root, level(root) - x_level, hs, set_value))
+            value, s = _shared.wave(tree, root, level(root) - x_level, hs, set_value)
+            if not value.is_zero():  # a zero wave never wins, see above
+                best.offer(value, s)
             continue
         for h in hs:
             cand = CZSet(root, h)
@@ -398,6 +440,7 @@ def sharp_maximal(
     evaluated once per field, and the climb offers each wave's best set in
     place of the wave's sets (see `sup_over_cz`).
     """
+    q = Exponent.of(q)
     return _sharp_at(tree, f, q, x, lambda s: oscillation(tree, f, s, q), _memo)
 
 
@@ -476,11 +519,13 @@ def sharp_field(
     t levels below) depends only on that root and t, so every point with
     the same ancestor t levels up climbs the same wave: its best set is
     found once, by one ArgMax over the wave, and each point offers that
-    one set.  Each CZ set is evaluated once, and the stop test is built
-    once.  The memo holds values and maxima under a total order, so the
+    one set.  Each CZ set holding a support vertex is evaluated once, the
+    others are settled as zero without an evaluation, and the stop test is
+    built once.  The memo holds values and maxima under a total order, so the
     result does not depend on the order of the points, and each point's
     value, witness and certificate are those of an unshared `sharp_maximal`.
     """
     points = where.members(tree) if isinstance(where, Window) else list(where)
+    q = Exponent.of(q)
     memo = _Shared()
     return {v: sharp_maximal(tree, f, q, v, _memo=memo) for v in points}

@@ -17,6 +17,7 @@ avoids any rounding policy downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -56,9 +57,7 @@ class GeneralTrapezoid(Band):
 
     def depth_range(self) -> tuple[int, int]:
         """Inclusive integer depth band [lo, hi] (hi < lo means empty)."""
-        lo = -((-self.a) // 1)  # ceil(a)
-        hi = -((-self.b) // 1) - 1  # largest integer < b
-        return int(lo), int(hi)
+        return math.ceil(self.a), math.ceil(self.b) - 1  # hi: the largest integer < b
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,33 @@ def members(tree: Tree, s: TrapezoidLike) -> Iterator[Vertex]:
     lo, hi = s.depth_range()
     for d in range(lo, hi + 1):
         yield from tree.descendants_at_depth(s.root, d)
+
+
+def ordered_members(tree: Tree, s: TrapezoidLike) -> Iterator[Vertex]:
+    """The members of s in Vertex order, (anchor, word), listed lazily."""
+    lo, hi = s.depth_range()
+    m = tree.m
+
+    def below(anchor: int, word: tuple[int, ...], depth: int) -> Iterator[Vertex]:
+        # a word sorts before its extensions, and they sort by digit
+        if depth >= lo:
+            yield Vertex(anchor, word)
+        if depth < hi:
+            for d in range(m):
+                yield from below(anchor, word + (d,), depth + 1)
+
+    root = s.root
+    if root.word:
+        yield from below(root.anchor, root.word, 0)
+        return
+    # below a geodesic vertex the smaller anchors come first: the geodesic
+    # vertex z levels down, then the words leaving the geodesic there
+    for z in range(hi, -1, -1):
+        if z >= lo:
+            yield Vertex(root.anchor - z, ())
+        if z < hi:
+            for d in range(1, m):
+                yield from below(root.anchor - z, (d,), z + 1)
 
 
 def member_count(tree: Tree, s: TrapezoidLike) -> int:

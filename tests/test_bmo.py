@@ -263,6 +263,26 @@ class TestHormander:
             want = _all_pairs_scan(k, family)
             assert (got.value, got.witness_set, got.witness_pair) == want
 
+    def test_fractional_kernels_match_all_pairs_scan(self):
+        # values with denominators 3 and 7 at levels down to -6 (weights
+        # 1/64), and rows on vertices no set of the family holds: the
+        # window's root, a vertex above it and one below its bottom
+        window = Window(Vertex(1, ()), 7)
+        family = bf.cz_in_window(T2, window, 2, include_degenerate=False)
+        pts = window.members(T2)
+        outside = [window.root, Vertex(3, ()), Vertex(1, (1,) * 8)]
+        assert not any(s.contains(y) for s in family for y in outside)
+        for seed in range(6):
+            rng = random.Random(f"{seed}:fractional-kernel")
+            entries = {}
+            for y in rng.sample(pts, 10) + outside:
+                for x in rng.sample(pts, rng.randint(1, 4)):
+                    entries[(y, x)] = Fraction(rng.choice((-5, -2, 1, 3, 4)), rng.choice((1, 3, 7, 21)))
+            k = KernelWindow.from_mapping(entries, window)
+            got = hormander_constant(T2, k, family)
+            assert got.value.denominator > 1
+            assert (got.value, got.witness_set, got.witness_pair) == _all_pairs_scan(k, family)
+
     def test_pair_order_on_hand_made_ties(self):
         # a row on the first member only, so it pairs with the next member;
         # then rows on the second and third members whose pair ties with both

@@ -214,6 +214,18 @@ def test_decompose_far_threshold_exit_two(tmp_path, capsys, j, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_decompose_unprintable_report_exit_two(tmp_path, capsys):
+    # |jq| = 14284 passes the threshold check, but the report's measure bound
+    # l1/2**14284 = 1/2**14285 has 4 301 digits, one more than CPython prints
+    path = write_func(tmp_path, "g.json", FinFunc.indicator(U))
+    code = main(["decompose", "--q", "2", "--j", "7142", "--in", path])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: a rational of 14286 bits is too large to print: "
+        "its numerator or denominator passes 4300 digits\n"
+    )
+
+
 def test_usage_error_exit_two(capsys):
     code = main(["measure", "--vertex", "0:9"])
     capsys.readouterr()

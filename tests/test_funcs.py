@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from treebmo import bruteforce
 from treebmo.funcs import (
     Exponent,
     FinFunc,
@@ -19,11 +20,12 @@ from treebmo.funcs import (
     pairing,
     sqrt_plus_le,
 )
-from treebmo.randgen import nonzero_function
+from treebmo.randgen import KINDS, nonzero_function
 from treebmo.sets import CZSet, GeneralTrapezoid, cz_measure, cz_supersets
-from treebmo.tree import Tree, Vertex, Window
+from treebmo.tree import Tree, Vertex, Window, ancestor
 
 T2 = Tree(2)
+T3 = Tree(3)
 O = Vertex(0, ())
 U = Vertex(0, (1,))
 V = Vertex(-1, ())
@@ -212,3 +214,56 @@ def cz_members():
     from treebmo.sets import members
 
     return list(members(T2, S1))
+
+
+def _oscillation_inputs():
+    """(tree, f, heights on a support chain, heights next to it): every
+    randgen kind on a window reaching negative levels, and values with
+    denominators 3 and 7 at negative and positive levels.  Sets of the
+    largest heights (4 092 members on Tree(2), 3 279 on Tree(3)) are
+    summed on the chains of the second group only, to keep the test fast."""
+    out = []
+    for tree, window, h in ((T2, Window(Vertex(0, ()), 2), 2), (T3, Window(Vertex(0, ()), 1), 1)):
+        for kind in KINDS:
+            out.append((tree, nonzero_function(tree, window, 4, kind, 1), h, h))
+    f2 = FinFunc({U: Fraction(1, 3), V: Fraction(-2, 7), Vertex(1, (1,)): Fraction(5, 21)})
+    f3 = FinFunc({Vertex(-2, (2,)): Fraction(-4, 7), Vertex(1, ()): Fraction(2, 3)})
+    return out + [(T2, f2, 3, 2), (T3, f3, 2, 1)]
+
+
+def _sets_near(tree, support, h_chain, h_child):
+    """Every CZ set, degenerate or of height <= h_chain, rooted on a support
+    vertex's father chain up to where sets of those heights stop holding
+    it, and every one of height <= h_child rooted at a child of a chain
+    vertex: the sets meeting the support and the sets next to it."""
+    chain, children = set(), set()
+    for u in support:
+        for t in range(4 * h_chain + 1):
+            a = ancestor(u, t)
+            chain.add(a)
+            children.update(tree.children(a))
+    out = []
+    for roots, h_max in ((chain, h_chain), (children - chain, h_child)):
+        for r in sorted(roots):
+            out.append(CZSet(r, 1, degenerate=True))
+            out.extend(CZSet(r, h) for h in range(1, h_max + 1))
+    return out
+
+
+def test_oscillation_matches_enumeration(monkeypatch):
+    # every set is summed vertex by vertex, however many members it has
+    monkeypatch.setattr(bruteforce, "FULL_SUM_CAP", 10**5)
+    for tree, f, h_chain, h_child in _oscillation_inputs():
+        sets = _sets_near(tree, f.support(), h_chain, h_child)
+        assert any(not any(s.contains(v) for v in f.support()) for s in sets)
+        if len(f) > 1:
+            assert any(0 < sum(s.contains(v) for v in f.support()) < len(f) for s in sets)
+        for s in sets:
+            for q in (1, 2):
+                got = oscillation(tree, f, s, q)
+                want = bruteforce.oscillation_by_enumeration(tree, f, s, q)
+                assert (got.radicand, got.degree, got.exact) == (
+                    want.radicand,
+                    want.degree,
+                    want.exact,
+                ), (f, s, q)

@@ -95,3 +95,43 @@ def test_kernel_roundtrip():
     }
     with pytest.raises(ValueError):
         jsonio.parse_kernel(T2, dup)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        "",
+        None,
+        0,
+        -7,
+        3.25,
+        1e300,
+        -0.0,
+        float("nan"),
+        float("inf"),
+        -float("inf"),
+        True,
+        {"b": [], "a": {}, "c": [{}, [[]], ""]},
+        {"zeta": [1, 2.5, None, False], "alpha": {"k": "v", "j": [True, {"x": -1}]}},
+        ["é, ü and ∞", "tab\tquote\"backslash\\", "  and \U0001f600", "\x00\x1f"],
+        {"ö": "ø", "a\nb": [float("nan"), float("inf"), -float("inf")]},
+        (1, (2, 3), []),
+        {"deep": [[[[{"deeper": [[{}]]}]]]]},
+        10**40,
+    ],
+)
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    assert jsonio.dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_dumps_writes_a_report_like_json_dumps():
+    rep = bmo_norm(T2, FinFunc({U: Fraction(1, 3), Vertex(-1, ()): Fraction(-2, 7)}), 2)
+    payload = {"report": jsonio.bmo_report_json(T2, rep), "points": {"0:1": [rep.sets_evaluated]}}
+    assert jsonio.dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_dumps_refuses_what_json_refuses():
+    with pytest.raises(TypeError):
+        jsonio.dumps({"value": Fraction(1, 3)})

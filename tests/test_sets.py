@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from treebmo.sets import (
     envelope,
     feasible_heights,
     members,
+    ordered_members,
     set_measure,
     smallest_enclosing_cz,
     witness_key,
@@ -62,6 +64,24 @@ class TestGeneralTrapezoid:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             GeneralTrapezoid(O, 2, 2)
+
+
+@pytest.mark.parametrize("tree", [T2, T3])
+def test_ordered_members_are_the_sorted_members(tree):
+    # geodesic roots, whose members change anchor, and roots off the geodesic
+    roots = [O, Vertex(2, ()), Vertex(0, (1,)), Vertex(-1, (1, 0))]
+    bands = [
+        CZSet(O, 1, degenerate=True),
+        GeneralTrapezoid(O, Fraction(5, 2), Fraction(11, 4)),  # no depth
+        GeneralTrapezoid(O, 0, 3),
+        GeneralTrapezoid(O, 2, 4),
+        CZSet(O, 1),
+        CZSet(O, 2),
+    ]
+    for root in roots:
+        for band in bands:
+            s = dataclasses.replace(band, root=root)
+            assert list(ordered_members(tree, s)) == sorted(members(tree, s)), s
 
 
 class TestAdmissibleTrapezoid:
