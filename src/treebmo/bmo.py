@@ -139,25 +139,23 @@ def hormander_constant(
     zero-zero pairs vanish, so visiting these pairs in (y, z) member order
     with a strict > gives the value and witness of a scan of all pairs.
 
-    The arithmetic is in integers.  Each row vertex and entry vertex is
-    indexed by its ancestors up to the window's root, with their depths, so
-    membership in a set or its enlargement is one lookup against the
-    set's integer depth bands.  Each entry K(y, x) * mu({x}) is kept as an
-    integer over one common denominator, so pair totals add and compare
-    as integers, and the value is formed once at the end.
+    The arithmetic is in integers.  Each set's integer depth bands are
+    found once, so membership in the set or its enlargement is a level
+    difference checked against a band, then one ancestor compared with the
+    root.  Each entry K(y, x) * mu({x}) is kept as an integer over one
+    common denominator, so pair totals add and compare as integers, and
+    the value is formed once at the end.
     """
     win = kernel.window
     for x in kernel.x_support():
         if not win.contains(x):
             raise DomainError(f"kernel x-support vertex {x} escapes the window")
-    top = level(win.root)
-    depths: dict[Vertex, dict[Vertex, int]] = {}
-    for y, x, _ in kernel.entries:
-        for v in (y, x):
-            if v not in depths:
-                depths[v] = {ancestor(v, d): d for d in range(top - level(v) + 1)}
-    weighted = [(y, x, val * tree.weight(x)) for y, x, val in kernel.entries]
-    unit = math.lcm(*(w.denominator for _, _, w in weighted))
+    weighted = []
+    unit = 1  # not lcm(*generator), as in funcs.oscillation
+    for y, x, val in kernel.entries:
+        w = val * tree.weight(x)
+        weighted.append((y, x, w))
+        unit = math.lcm(unit, w.denominator)
     rows: dict[Vertex, dict[Vertex, int]] = {}
     for y, x, w in weighted:
         rows.setdefault(y, {})[x] = w.numerator * (unit // w.denominator)
@@ -173,17 +171,18 @@ def hormander_constant(
         if member_count(tree, s) > 200_000:
             raise DomainError(f"{s} is too large to scan pairwise")
         root = s.root
+        top = level(root)
         lo, hi = s.depth_range()
         g_lo, g_hi = grown.depth_range()
         # each member's kernel row off the enlargement, where it is nonzero
         restricted = {}
         for y, row in rows.items():
-            d = depths[y].get(root)
-            if d is not None and lo <= d <= hi:
+            d = top - level(y)
+            if lo <= d <= hi and ancestor(y, d) == root:
                 r = {}
                 for x, w in row.items():
-                    dx = depths[x].get(root)
-                    if w and (dx is None or not g_lo <= dx <= g_hi):
+                    dx = top - level(x)
+                    if w and not (g_lo <= dx <= g_hi and ancestor(x, dx) == root):
                         r[x] = w
                 if r:
                     restricted[y] = r
@@ -192,20 +191,13 @@ def hormander_constant(
         zero = next((v for v in ordered_members(tree, s) if v not in restricted), None)
         # Vertex tuples order as (anchor, word), the member order of the pairs
         order = sorted(restricted if zero is None else [*restricted, zero])
-        # |a - b| = |a| + |b| off the keys the rows share, and a pair whose
-        # row sizes add up to at most best cannot pass it
-        size = {y: sum(map(abs, r.values())) for y, r in restricted.items()}
         empty: dict[Vertex, int] = {}
         for i, y in enumerate(order):
             row_y = restricted.get(y, empty)
             for z in order[i + 1 :]:
-                total = size.get(y, 0) + size.get(z, 0)
-                if total <= best:
-                    continue
                 row_z = restricted.get(z, empty)
-                for x in row_y.keys() & row_z.keys():
-                    a, b = row_y[x], row_z[x]
-                    total += abs(a - b) - abs(a) - abs(b)
+                keys = row_y.keys() | row_z.keys()
+                total = sum(abs(row_y.get(x, 0) - row_z.get(x, 0)) for x in keys)
                 if total > best:
                     best, best_set, best_pair = total, s, (y, z)
     return HormanderResult(Fraction(best, unit), best_set, best_pair, len(family))

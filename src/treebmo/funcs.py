@@ -423,11 +423,12 @@ def oscillation(tree: Tree, f: FinFunc, s: TrapezoidLike, q) -> NormValue:
     if hi < lo:
         raise ZeroMeasureError("cannot average over a set of measure 0")
     held = []
+    unit = 1  # not lcm(*generator): its shrunk argument tuple stays on a free list
     for v, val in f.items():
         d = depth_below(v, s.root)
         if d is not None and lo <= d <= hi:
             held.append((val, d))
-    unit = math.lcm(*(val.denominator for val, _ in held))
+            unit = math.lcm(unit, val.denominator)
     m = tree.m
     total = (hi - lo + 1) * m**hi
     scaled = [(val.numerator * (unit // val.denominator), m ** (hi - d)) for val, d in held]

@@ -20,8 +20,9 @@ against brute-force oracles with no cutoff.
 from x, the CZ sets rooted at ancestor(x, t) with the heights feasible t
 levels below, depends only on that root and t, so the points share it:
 each set is evaluated once, each wave's best set is found once, and each
-point offers one set per wave.  Sets that hold no support vertex are
-settled as zero from an index of the support by root, with no evaluation.
+point offers one set per wave.  Sets that hold no support vertex
+oscillate by zero; found from an index of the support by root, they are
+skipped with no evaluation.
 """
 
 from __future__ import annotations
@@ -278,18 +279,17 @@ class _Shared:
 
     It also indexes the support of f by root: the depths of the support
     vertices below each root climbed.  A set holding none of them
-    oscillates by zero and is settled without being evaluated, and a
-    wave's zero sets reduce to the one of least height, which has the
-    least measure and so wins every tie among them.
+    oscillates by zero, which never wins a climb (see `sup_over_cz`), so
+    it is skipped without being evaluated, and a wave holding only such
+    sets has no best.
     """
 
     def __init__(self) -> None:
         self.values: dict[CZSet, NormValue] = {}
-        self.waves: dict[tuple[Vertex, int], tuple[NormValue, CZSet]] = {}
+        self.waves: dict[tuple[Vertex, int], tuple[NormValue, CZSet] | None] = {}
         self.holds: Callable[[Fraction, NormValue], bool] | None = None
         self.stops: dict[tuple[int, int, NormValue], Fraction | None] = {}
         self.support: list[Vertex] = []
-        self.zero = NormValue.zero()
         self.depths: dict[Vertex, list[int]] = {}
 
     def start(self, tree: Tree, f: FinFunc, q: Exponent) -> None:
@@ -297,7 +297,6 @@ class _Shared:
         if self.holds is None:
             self.holds = oscillation_bound(tree, f, q)
             self.support = [v for v, _ in f.items()]
-            self.zero = lq_mean([], 0, 1, q)
 
     def stop(self, tree: Tree, x_level: int, t: int, best: NormValue) -> Fraction | None:
         """`_stop` with this field's test, found once per (x_level, t, best)."""
@@ -322,30 +321,28 @@ class _Shared:
         t: int,
         hs: list[int],
         set_value: Callable[[CZSet], NormValue],
-    ) -> tuple[NormValue, CZSet]:
-        """The best (value, set) over CZSet(root, h), h in hs.  Each wave and
-        each set's value is found once per field."""
-        top = self.waves.get((root, t))
-        if top is None:
-            values = self.values
-            depths = self.depths_below(root)
-            pairs = []
-            zero_offered = False  # hs ascend, so the first zero set is the least
-            for h in hs:
-                s = CZSet(root, h)
-                lo, hi = s.depth_range()
-                if not any(lo <= d <= hi for d in depths):
-                    if not zero_offered:
-                        zero_offered = True
-                        pairs.append((self.zero, s))
-                    continue
-                if s not in values:
-                    values[s] = set_value(s)
-                pairs.append((values[s], s))
-            best = ArgMax(tree, *pairs[0])
-            for pair in pairs[1:]:
-                best.offer(*pair)
-            top = self.waves[root, t] = best.value, best.witness
+    ) -> tuple[NormValue, CZSet] | None:
+        """The best (value, set) over the sets CZSet(root, h), h in hs, that
+        hold a support vertex, or None if none does.  Each wave and each
+        set's value is found once per field."""
+        key = (root, t)
+        if key in self.waves:
+            return self.waves[key]
+        values = self.values
+        depths = self.depths_below(root)
+        best = None
+        for h in hs:
+            s = CZSet(root, h)
+            lo, hi = s.depth_range()
+            if not any(lo <= d <= hi for d in depths):
+                continue
+            if s not in values:
+                values[s] = set_value(s)
+            if best is None:
+                best = ArgMax(tree, values[s], s)
+            else:
+                best.offer(values[s], s)
+        top = self.waves[key] = None if best is None else (best.value, best.witness)
         return top
 
 
@@ -370,10 +367,10 @@ def sup_over_cz(
     field.  That order is total (value, then the witness_key, unique per
     set), so the best of the wave bests is the best over the sets; keep
     reads the running best only between waves, so the stop and the count
-    of sets evaluated are those of the set-by-set climb.  A wave of value
-    zero is not offered: while the best is zero it is held by the start's
-    degenerate set, whose measure m**level(x) is below that of any CZ set
-    holding x, so it wins every tie at zero.
+    of sets evaluated are those of the set-by-set climb.  A wave with no
+    best, or of value zero, is not offered: while the best is zero it is
+    held by the start's degenerate set, whose measure m**level(x) is below
+    that of any CZ set holding x, so it wins every tie at zero.
     """
     best = ArgMax(tree, NormValue.zero(), CZSet(starts[0], 1, degenerate=True))
     evaluated = 1
@@ -400,9 +397,9 @@ def sup_over_cz(
     for root, hs in rooted_bands(starts, feasible_heights, keep):
         evaluated += len(hs)
         if _shared is not None:
-            value, s = _shared.wave(tree, root, level(root) - x_level, hs, set_value)
-            if not value.is_zero():  # a zero wave never wins, see above
-                best.offer(value, s)
+            top = _shared.wave(tree, root, level(root) - x_level, hs, set_value)
+            if top is not None and not top[0].is_zero():  # see above
+                best.offer(*top)
             continue
         for h in hs:
             cand = CZSet(root, h)
@@ -520,8 +517,8 @@ def sharp_field(
     the same ancestor t levels up climbs the same wave: its best set is
     found once, by one ArgMax over the wave, and each point offers that
     one set.  Each CZ set holding a support vertex is evaluated once, the
-    others are settled as zero without an evaluation, and the stop test is
-    built once.  The memo holds values and maxima under a total order, so the
+    others are skipped (a zero never wins), and the stop test is built
+    once.  The memo holds values and maxima under a total order, so the
     result does not depend on the order of the points, and each point's
     value, witness and certificate are those of an unshared `sharp_maximal`.
     """

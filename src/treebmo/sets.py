@@ -120,18 +120,9 @@ def ordered_members(tree: Tree, s: TrapezoidLike) -> Iterator[Vertex]:
     """The members of s in Vertex order, (anchor, word), listed lazily."""
     lo, hi = s.depth_range()
     m = tree.m
-
-    def below(anchor: int, word: tuple[int, ...], depth: int) -> Iterator[Vertex]:
-        # a word sorts before its extensions, and they sort by digit
-        if depth >= lo:
-            yield Vertex(anchor, word)
-        if depth < hi:
-            for d in range(m):
-                yield from below(anchor, word + (d,), depth + 1)
-
     root = s.root
     if root.word:
-        yield from below(root.anchor, root.word, 0)
+        yield from _ordered_below(m, lo, hi, root.anchor, root.word, 0)
         return
     # below a geodesic vertex the smaller anchors come first: the geodesic
     # vertex z levels down, then the words leaving the geodesic there
@@ -140,7 +131,19 @@ def ordered_members(tree: Tree, s: TrapezoidLike) -> Iterator[Vertex]:
             yield Vertex(root.anchor - z, ())
         if z < hi:
             for d in range(1, m):
-                yield from below(root.anchor - z, (d,), z + 1)
+                yield from _ordered_below(m, lo, hi, root.anchor - z, (d,), z + 1)
+
+
+def _ordered_below(
+    m: int, lo: int, hi: int, anchor: int, word: tuple[int, ...], depth: int
+) -> Iterator[Vertex]:
+    # a word sorts before its extensions, and they sort by digit; a module
+    # function, as a closure calling itself would leave a reference cycle
+    if depth >= lo:
+        yield Vertex(anchor, word)
+    if depth < hi:
+        for d in range(m):
+            yield from _ordered_below(m, lo, hi, anchor, word + (d,), depth + 1)
 
 
 def member_count(tree: Tree, s: TrapezoidLike) -> int:

@@ -283,6 +283,24 @@ class TestHormander:
             assert got.value.denominator > 1
             assert (got.value, got.witness_set, got.witness_pair) == _all_pairs_scan(k, family)
 
+    def test_far_rows_change_nothing(self):
+        # a row a billion levels down, outside the window and then inside a
+        # window that deep: no set holds it, and settling that costs no walk
+        # over the levels between it and a set
+        family = bf.cz_in_window(T2, Window(Vertex(1, ()), 7), 2)
+        far = Vertex(-(10**9), ())
+        entries = {(U, O): Fraction(1), (Vertex(-1, ()), Vertex(1, (1,))): Fraction(-2, 3)}
+        for window in (Window(Vertex(1, ()), 7), Window(Vertex(1, ()), 10**9 + 1)):
+            k = KernelWindow.from_mapping(entries, window)
+            with_far = KernelWindow.from_mapping({**entries, (far, O): Fraction(5)}, window)
+            got, want = hormander_constant(T2, with_far, family), hormander_constant(T2, k, family)
+            assert (got.value, got.witness_set, got.witness_pair) == (
+                want.value,
+                want.witness_set,
+                want.witness_pair,
+            )
+            assert (want.value, want.witness_set, want.witness_pair) == _all_pairs_scan(k, family)
+
     def test_pair_order_on_hand_made_ties(self):
         # a row on the first member only, so it pairs with the next member;
         # then rows on the second and third members whose pair ties with both

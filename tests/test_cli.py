@@ -173,6 +173,22 @@ def test_hormander(tmp_path, capsys):
     assert Fraction(data["value"]) >= 0
 
 
+def test_hormander_far_row(tmp_path, capsys):
+    # a row a billion levels below the window is held by no set
+    entries = [
+        {"y": "0:1", "x": "0:1", "val": "1"},
+        {"y": "-1:", "x": "-1:", "val": "1/3"},
+    ]
+    far = {"y": "-1000000000:", "x": "0:1", "val": "5"}
+    out = []
+    for rows in (entries, entries + [far]):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"window": "root=4:,depth=8", "entries": rows}))
+        out.append(run(capsys, "hormander", "--kernel", str(path), "--h-max", "1",
+                       "--family", "auto:root=4:,depth=8"))
+    assert out[0] == out[1] and out[0][0] == 0
+
+
 def test_check_geometry_exit_zero(capsys):
     code, data = run(capsys, "check", "geometry", "--size", "4")
     assert code == 0 and data["ok"]
