@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .funcs import Exponent, FinFunc, NormValue, oscillation, pairing
 from .maximal import CutoffCertificate, sup_over_cz
-from .sets import CZSet, band_within, enlargement, member_count, ordered_members
+from .sets import CZSet, band_within, enlargement, ordered_members
 from .tree import Tree, Vertex, Window, ancestor, level
 
 
@@ -168,8 +168,6 @@ def hormander_constant(
             raise DomainError(f"{s} escapes the declared window")
         if not band_within(grown, win):
             raise DomainError(f"enlargement of {s} escapes the declared window")
-        if member_count(tree, s) > 200_000:
-            raise DomainError(f"{s} is too large to scan pairwise")
         root = s.root
         top = level(root)
         lo, hi = s.depth_range()

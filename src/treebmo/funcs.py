@@ -267,17 +267,26 @@ class FinFunc:
     def __hash__(self):
         raise TypeError("FinFunc is not hashable")
 
-    def __add__(self, other: "FinFunc") -> "FinFunc":
+    def added(self, others: Iterable["FinFunc"], sign: int = 1) -> "FinFunc":
+        """self + sign * (the sum of others), with sign +1 or -1, in one
+        dict updated in place; a sum that cancels is dropped, as no zero
+        is stored."""
         d = dict(self._data)
-        for v, val in other._data.items():
-            s = d.get(v, Fraction(0)) + val
-            if s:
-                d[v] = s
-            elif v in d:
-                del d[v]
+        for other in others:
+            for v, val in other._data.items():
+                if sign < 0:
+                    val = -val
+                s = d[v] + val if v in d else val
+                if s:
+                    d[v] = s
+                else:
+                    del d[v]
         out = FinFunc.__new__(FinFunc)
         out._data = d
         return out
+
+    def __add__(self, other: "FinFunc") -> "FinFunc":
+        return self.added((other,))
 
     def __neg__(self) -> "FinFunc":
         out = FinFunc.__new__(FinFunc)
@@ -285,7 +294,7 @@ class FinFunc:
         return out
 
     def __sub__(self, other: "FinFunc") -> "FinFunc":
-        return self + (-other)
+        return self.added((other,), -1)
 
     def scaled(self, c) -> "FinFunc":
         c = Fraction(c)
@@ -450,7 +459,14 @@ def oscillation_bound(tree: Tree, f: FinFunc, q) -> Callable[[Fraction, NormValu
     q = Exponent.of(q)
     l1 = lp_power(tree, f, 1)
     if q.value == 1:
-        return lambda mu, best: NormValue.exact1(2 * l1 / mu) <= best
+        # 2 * l1 / mu <= best, cross-multiplied in integers
+        num, den = (2 * l1).as_integer_ratio()
+
+        def holds1(mu: Fraction, best: NormValue) -> bool:
+            b = best.as_fraction()
+            return num * mu.denominator * b.denominator <= mu.numerator * b.numerator * den
+
+        return holds1
     if q.value == 2:
         l2 = lp_power(tree, f, 2)
         return lambda mu, best: sqrt_plus_le(l2 / mu, l1 / mu, best.sq)

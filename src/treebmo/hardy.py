@@ -257,9 +257,7 @@ def good_bad_split(tree: Tree, g: FinFunc, q, j: int) -> GoodBadSplit:
             {v: balance for v in members(tree, r)} if balance else {}
         )
         bad_parts.append((piece, r))
-    good = g
-    for piece, _ in bad_parts:
-        good = good - piece
+    good = g.added((piece for piece, _ in bad_parts), -1)
 
     _verify_split_contracts(tree, g, good, bad_parts, envelopes, omega)
 
@@ -336,10 +334,7 @@ def _verify_split_contracts(tree, g, good, bad_parts, envelopes, omega) -> None:
             for lo, hi in env_bands.get(ancestor(w, lr - lw), ())
         ):
             raise AssertionError(f"level-set vertex {w} is not covered by an envelope")
-    total = good
-    for piece, _ in bad_parts:
-        total = total + piece
-    if total != g:
+    if good.added(piece for piece, _ in bad_parts) != g:
         raise AssertionError("good + bad does not reconstruct the function")
 
 

@@ -7,27 +7,31 @@ Two suprema over infinite families are computed here:
 * the sharp maximal function: suprema of q-oscillations over CZ sets
   containing a point.
 
-Both climb the father chains of `sets.rooted_bands`, keep the best value
-in a `sets.ArgMax`, and stop a chain once an a-priori bound shows that any
-set rooted higher cannot beat the current best.  The stopping rule is part
-of the public contract: every result carries a certificate stating the
-measure threshold past which candidates were discarded and the inequality
-that justifies it.  `bmo.bmo_norm` runs the same CZ search, `sup_over_cz`,
-from every support vertex.  The test suite replays these computations
-against brute-force oracles with no cutoff.
+Both climb father chains, keep the best value in a `sets.ArgMax`, and
+stop a chain once an a-priori bound shows that any set rooted higher
+cannot beat the current best.  The stopping rule is part of the public
+contract: every result carries a certificate stating the measure
+threshold past which candidates were discarded and the inequality that
+justifies it.  `bmo.bmo_norm` runs the set-by-set CZ search,
+`sup_over_cz`, from every support vertex.  The test suite replays these
+computations against brute-force oracles with no cutoff.
 
-`sharp_field` climbs from many points of a window.  Wave t of the climb
-from x, the CZ sets rooted at ancestor(x, t) with the heights feasible t
-levels below, depends only on that root and t, so the points share it:
-each set is evaluated once, each wave's best set is found once, and each
-point offers one set per wave.  Sets that hold no support vertex
-oscillate by zero; found from an index of the support by root, they are
-skipped with no evaluation.
+`sharp_field` climbs from many points of a window through one `_Shared`,
+which evaluates each CZ set holding a support vertex once, finds each
+wave's best set once and skips the sets holding none (they oscillate by
+zero).  The rest of a climb depends only on its state: ancestor(x, t), t
+and the set holding the running best.  Within one field that set fixes
+the best value, and the count of sets evaluated and the stop's measure
+depend only on the wave where the climb stops, so each state is climbed
+once per field.  A lone `sharp_maximal` or `centered_sharp_maximal` runs
+through a `_Shared` of its own; `sup_over_cz` is the set-by-set search of
+`bmo.bmo_norm` and the reference the tests check the climbs against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -268,82 +272,131 @@ def _stop(
     return mu_min if holds(mu_min, best) else None
 
 
-_UNSET = object()
+# (root, t, lead): a climb about to test wave t at root = ancestor(x, t),
+# holding the best set so far, or None while the best is still zero
+_State = tuple[Vertex, int, CZSet | None]
 
 
 class _Shared:
-    """What the points of one `sharp_field` share as their climbs run: the
-    value of each CZ set, the best (value, set) of each wave, keyed by its
-    root and its height t above the start, and the stop test with each
-    outcome, keyed by the start's level, t and the running best.
+    """The climbs of the sharp maximal function from the points of one field.
 
-    It also indexes the support of f by root: the depths of the support
-    vertices below each root climbed.  A set holding none of them
-    oscillates by zero, which never wins a climb (see `sup_over_cz`), so
-    it is skipped without being evaluated, and a wave holding only such
-    sets has no best.
+    A climb from x runs in waves t = 1, 2, ...: unless the stop test ends
+    it, wave t offers the best (value, set) over CZSet(ancestor(x, t), h),
+    h in feasible_heights(t).  That order is total (value, then the
+    witness_key, unique per set), so the best of the wave bests is the best
+    over the sets.  A set holding no support vertex oscillates by zero and
+    is skipped unevaluated, found from the depths of the support below its
+    root.  A wave of value zero is not offered: while the best is zero the
+    start's degenerate set holds it, and its measure m**level(x) is below
+    that of any CZ set holding x, so it wins every tie at zero.
+
+    The rest of a climb depends only on its state (root, t, lead), where
+    root = ancestor(x, t) and lead is the set holding the best, or None
+    while the best is zero.  root and t fix the start's level, which the
+    stop test reads.  lead fixes the best value: the values of one field
+    come from one set_value at one q, which has one representation per
+    value (degree 1 for q = 1, 2 for q = 2, a float otherwise), so a tie
+    that moves the lead keeps an equal NormValue.  Every climb starts at
+    t = 1 and counts all of feasible_heights(t) as evaluated for each wave
+    it passes, as the set-by-set climb does, so that count and the stop's
+    measure depend only on the wave where it stops.  So each state's
+    ending, the point's whole MaximalResult, is found once: a climb that
+    reaches a known state takes that ending and records it for every state
+    it passed.  Values, waves and endings are those of each point climbing
+    alone, so the results do not depend on the order of the points.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tree: Tree, f: FinFunc, q: Exponent) -> None:
+        self.tree, self.f, self.q = tree, f, q
+        self.support = [v for v, _ in f.items()]
+        self.heights: dict[Vertex, set[int]] = {}
         self.values: dict[CZSet, NormValue] = {}
         self.waves: dict[tuple[Vertex, int], tuple[NormValue, CZSet] | None] = {}
-        self.holds: Callable[[Fraction, NormValue], bool] | None = None
-        self.stops: dict[tuple[int, int, NormValue], Fraction | None] = {}
-        self.support: list[Vertex] = []
-        self.depths: dict[Vertex, list[int]] = {}
+        self.ends: dict[_State, MaximalResult] = {}
 
-    def start(self, tree: Tree, f: FinFunc, q: Exponent) -> None:
-        """Build what depends on f and q, once per field."""
-        if self.holds is None:
-            self.holds = oscillation_bound(tree, f, q)
-            self.support = [v for v, _ in f.items()]
+    @cached_property
+    def holds(self) -> Callable[[Fraction, NormValue], bool]:
+        return oscillation_bound(self.tree, self.f, self.q)
 
-    def stop(self, tree: Tree, x_level: int, t: int, best: NormValue) -> Fraction | None:
-        """`_stop` with this field's test, found once per (x_level, t, best)."""
-        key = (x_level, t, best)
-        stop = self.stops.get(key, _UNSET)
-        if stop is _UNSET:
-            stop = self.stops[key] = _stop(tree, self.holds, x_level, t, best)
-        return stop
-
-    def depths_below(self, root: Vertex) -> list[int]:
-        """Depths below root of the support vertices it lies above."""
-        depths = self.depths.get(root)
-        if depths is None:
-            below = (depth_below(v, root) for v in self.support)
-            depths = self.depths[root] = [d for d in below if d is not None]
-        return depths
+    def held(self, root: Vertex) -> set[int]:
+        """The heights h for which CZSet(root, h) holds a support vertex:
+        a vertex d levels below root is a member for h in feasible_heights(d)."""
+        held = self.heights.get(root)
+        if held is None:
+            held = self.heights[root] = set()
+            for v in self.support:
+                d = depth_below(v, root)
+                if d is not None:
+                    held.update(feasible_heights(d))
+        return held
 
     def wave(
-        self,
-        tree: Tree,
-        root: Vertex,
-        t: int,
-        hs: list[int],
-        set_value: Callable[[CZSet], NormValue],
+        self, root: Vertex, t: int, set_value: Callable[[CZSet], NormValue]
     ) -> tuple[NormValue, CZSet] | None:
-        """The best (value, set) over the sets CZSet(root, h), h in hs, that
-        hold a support vertex, or None if none does.  Each wave and each
-        set's value is found once per field."""
+        """The best (value, set) over the sets CZSet(root, h), h in
+        feasible_heights(t), that hold a support vertex, or None if none
+        does.  Each wave and each set's value is found once per field."""
         key = (root, t)
         if key in self.waves:
             return self.waves[key]
         values = self.values
-        depths = self.depths_below(root)
+        held = self.held(root)
         best = None
-        for h in hs:
-            s = CZSet(root, h)
-            lo, hi = s.depth_range()
-            if not any(lo <= d <= hi for d in depths):
+        for h in feasible_heights(t):
+            if h not in held:
                 continue
+            s = CZSet(root, h)
             if s not in values:
                 values[s] = set_value(s)
             if best is None:
-                best = ArgMax(tree, values[s], s)
+                best = ArgMax(self.tree, values[s], s)
             else:
                 best.offer(values[s], s)
         top = self.waves[key] = None if best is None else (best.value, best.witness)
         return top
+
+    def step(
+        self, state: _State, best: ArgMax | None, set_value: Callable[[CZSet], NormValue]
+    ) -> tuple[ArgMax | None, Fraction | None]:
+        """One wave of a climb from a state no climb has passed, with best
+        the climb's running best (None while it is zero): (best, the stop's
+        measure) if the stop test ends the climb here, else (best after the
+        wave's best is offered, None)."""
+        root, t, _ = state
+        if best is not None:
+            stop = _stop(self.tree, self.holds, level(root) - t, t, best.value)
+            if stop is not None:
+                return best, stop
+        top = self.wave(root, t, set_value)
+        if top is not None and not top[0].is_zero():  # see the class
+            if best is None:
+                best = ArgMax(self.tree, *top)
+            else:
+                best.offer(*top)
+        return best, None
+
+    def climb(self, x: Vertex, set_value: Callable[[CZSet], NormValue]) -> MaximalResult:
+        """The sharp maximal function at x under set_value, from the known
+        ending of the first state of x's climb that an earlier climb passed.
+        The climb stops only once its best is nonzero, so the start's
+        degenerate set, which holds a zero best, is never the witness."""
+        best: ArgMax | None = None
+        root, t, evaluated = father(x), 1, 1
+        path = []
+        ends = self.ends
+        while (state := (root, t, None if best is None else best.witness)) not in ends:
+            path.append(state)
+            best, stop = self.step(state, best, set_value)
+            if stop is not None:
+                certificate = CutoffCertificate(SHARP_RULE, stop, None, evaluated)
+                ends[state] = MaximalResult(best.value, best.witness, certificate)
+                break
+            evaluated += len(feasible_heights(t))
+            root, t = father(root), t + 1
+        end = ends[state]
+        for passed in path:
+            ends[passed] = end
+        return end
 
 
 def sup_over_cz(
@@ -352,43 +405,27 @@ def sup_over_cz(
     q: Exponent,
     starts: list[Vertex],
     set_value: Callable[[CZSet], NormValue],
-    *,
-    _shared: _Shared | None = None,
 ) -> tuple[ArgMax, CutoffCertificate]:
     """Sup of set_value over the CZ sets containing some start vertex.
 
     f must be nonzero and q finite; set_value(S) must not exceed the
     q-oscillation of f on S, which the stop rule bounds.  The search starts
-    at value zero on the degenerate set {starts[0]}, counted as evaluated.
-
-    With `_shared` (one start x, from `sharp_field`), wave t of the climb,
-    the sets CZSet(ancestor(x, t), h) for h in feasible_heights(t), is
-    offered as one pair: its best under the ArgMax order, found once per
-    field.  That order is total (value, then the witness_key, unique per
-    set), so the best of the wave bests is the best over the sets; keep
-    reads the running best only between waves, so the stop and the count
-    of sets evaluated are those of the set-by-set climb.  A wave with no
-    best, or of value zero, is not offered: while the best is zero it is
-    held by the start's degenerate set, whose measure m**level(x) is below
-    that of any CZ set holding x, so it wins every tie at zero.
+    at value zero on the degenerate set {starts[0]}, counted as evaluated,
+    and offers every candidate set of `sets.rooted_bands` one by one.
+    `bmo.bmo_norm` runs it from every support vertex at once; the climb
+    from one point runs through `_Shared`, which gives the same value,
+    witness and certificate with less work, and the tests compare the two.
     """
     best = ArgMax(tree, NormValue.zero(), CZSet(starts[0], 1, degenerate=True))
     evaluated = 1
     floor: Fraction | None = None
-    if _shared is None:
-        bound_holds = oscillation_bound(tree, f, q)
-    else:
-        _shared.start(tree, f, q)
-        x_level = level(starts[0])
+    bound_holds = oscillation_bound(tree, f, q)
 
     def keep(u: Vertex, t: int) -> bool:
         nonlocal floor
         if best.value.is_zero():
             return True
-        if _shared is None:
-            stop = _stop(tree, bound_holds, level(u), t, best.value)
-        else:
-            stop = _shared.stop(tree, x_level, t, best.value)
+        stop = _stop(tree, bound_holds, level(u), t, best.value)
         if stop is None:
             return True
         floor = stop if floor is None else min(floor, stop)
@@ -396,11 +433,6 @@ def sup_over_cz(
 
     for root, hs in rooted_bands(starts, feasible_heights, keep):
         evaluated += len(hs)
-        if _shared is not None:
-            top = _shared.wave(tree, root, level(root) - x_level, hs, set_value)
-            if top is not None and not top[0].is_zero():  # see above
-                best.offer(*top)
-            continue
         for h in hs:
             cand = CZSet(root, h)
             best.offer(set_value(cand), cand)
@@ -424,8 +456,9 @@ def _sharp_at(
             CZSet(x, 1, degenerate=True),
             _trivial_certificate("zero function", 1),
         )
-    best, certificate = sup_over_cz(tree, f, q, [x], set_value, _shared=shared)
-    return MaximalResult(best.value, best.witness, certificate)
+    if shared is None:
+        shared = _Shared(tree, f, q)
+    return shared.climb(x, set_value)
 
 
 def sharp_maximal(
@@ -433,9 +466,10 @@ def sharp_maximal(
 ) -> MaximalResult:
     """Sup of q-oscillations of f over CZ sets containing x; exact for q in {1, 2}.
 
-    `sharp_field` passes every point the same `_memo`: each CZ set is then
-    evaluated once per field, and the climb offers each wave's best set in
-    place of the wave's sets (see `sup_over_cz`).
+    The climb runs through a `_Shared` of its own, or through `_memo`,
+    which `sharp_field` passes to every point of a field: each CZ set is
+    then evaluated once per field, and each state of a climb is climbed
+    once (see `_Shared`).
     """
     q = Exponent.of(q)
     return _sharp_at(tree, f, q, x, lambda s: oscillation(tree, f, s, q), _memo)
@@ -511,18 +545,15 @@ def sharp_field(
 ) -> dict[Vertex, MaximalResult]:
     """Pointwise sharp maximal function on a window or explicit vertex list.
 
-    Each point is one `sharp_maximal` call, and the calls share one memo.
-    A wave (the CZ sets rooted at ancestor(x, t) with the heights feasible
-    t levels below) depends only on that root and t, so every point with
-    the same ancestor t levels up climbs the same wave: its best set is
-    found once, by one ArgMax over the wave, and each point offers that
-    one set.  Each CZ set holding a support vertex is evaluated once, the
-    others are skipped (a zero never wins), and the stop test is built
-    once.  The memo holds values and maxima under a total order, so the
-    result does not depend on the order of the points, and each point's
-    value, witness and certificate are those of an unshared `sharp_maximal`.
+    Each point is one `sharp_maximal` call, and the calls share one
+    `_Shared`, which evaluates each CZ set once, finds each wave's best
+    once and climbs each state once (see there).  It holds values, maxima
+    under a total order and whole results, so the result does not depend
+    on the order of the points, and each point's value, witness and
+    certificate are those of the set-by-set `sup_over_cz` from that point.
+    The memo is freed on return.
     """
     points = where.members(tree) if isinstance(where, Window) else list(where)
     q = Exponent.of(q)
-    memo = _Shared()
+    memo = _Shared(tree, f, q)
     return {v: sharp_maximal(tree, f, q, v, _memo=memo) for v in points}

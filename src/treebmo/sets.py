@@ -299,7 +299,7 @@ def rooted_bands(
 
     A single start yields wave t as ancestor(u, t) with all of heights(t):
     one chain never meets a root twice, so it keeps no record of what it
-    yielded.  `sharp_maximal` relies on this to share waves between points.
+    yielded.
     """
     alive = list(starts)
     if len(alive) == 1:

@@ -14,7 +14,7 @@ from treebmo.bmo import (
 from treebmo.funcs import FinFunc, oscillation, pairing
 from treebmo.maximal import sharp_field
 from treebmo.randgen import nonzero_function
-from treebmo.sets import CZSet, band_within, cz_supersets, enlargement, members
+from treebmo.sets import CZSet, band_within, cz_supersets, enlargement, member_count, members
 from treebmo.tree import Tree, Vertex, Window, distance
 
 T2 = Tree(2)
@@ -300,6 +300,22 @@ class TestHormander:
                 want.witness_pair,
             )
             assert (want.value, want.witness_set, want.witness_pair) == _all_pairs_scan(k, family)
+
+    def test_set_of_a_million_members_is_scanned(self):
+        # the scan reads the kernel rows inside the set and one zero-row
+        # member, never the member list, so no set size is refused
+        s = CZSet(O, 5)
+        assert member_count(T2, s) == 2**20 - 8
+        y, x = Vertex(0, (1, 1, 1, 1)), Vertex(0, (1,))
+        k = KernelWindow.from_mapping({(y, x): Fraction(1)}, Window(O, 21))
+        got = hormander_constant(T2, k, [s])
+        # x lies off the enlargement and weighs 1/2; the first member in
+        # Vertex order carries the zero row
+        assert (got.value, got.witness_set, got.witness_pair) == (
+            Fraction(1, 2),
+            s,
+            (Vertex(-19, ()), y),
+        )
 
     def test_pair_order_on_hand_made_ties(self):
         # a row on the first member only, so it pairs with the next member;

@@ -13,6 +13,7 @@ from treebmo.cli import main
 from treebmo.funcs import FinFunc
 from treebmo.maximal import sharp_maximal
 from treebmo.randgen import nonzero_function
+from treebmo.sets import CZSet
 from treebmo.tree import Tree, Vertex, Window, format_vertex, parse_vertex, parse_window
 
 T2 = Tree(2)
@@ -187,6 +188,23 @@ def test_hormander_far_row(tmp_path, capsys):
         out.append(run(capsys, "hormander", "--kernel", str(path), "--h-max", "1",
                        "--family", "auto:root=4:,depth=8"))
     assert out[0] == out[1] and out[0][0] == 0
+
+
+def test_hormander_set_of_a_million_members(tmp_path, capsys, monkeypatch):
+    # CZSet(0:, 5) holds 1 048 568 members.  The auto family of a window
+    # deep enough for it lists about 4 million sets, so the family here is
+    # that window's one set of height h_max at its root.
+    def one_set(tree, window, h_max):
+        return [CZSet(window.root, h_max)]
+
+    monkeypatch.setattr(cli, "cz_in_window", one_set)
+    path = tmp_path / "k.json"
+    entries = [{"y": "0:1111", "x": "0:1", "val": "1"}]
+    path.write_text(json.dumps({"window": "root=0:,depth=21", "entries": entries}))
+    code, data = run(capsys, "hormander", "--kernel", str(path), "--h-max", "5",
+                     "--family", "auto:root=0:,depth=21")
+    assert code == 0
+    assert (data["value"], data["witness_pair"]) == ("1/2", ["-19:", "0:1111"])
 
 
 def test_check_geometry_exit_zero(capsys):

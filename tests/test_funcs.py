@@ -203,6 +203,20 @@ class TestAverageOscillation:
                         mu, osc2.scaled(Fraction(9999, 10000))
                     )
 
+    def test_q1_cutoff_is_the_exact_comparison(self):
+        # at q = 1 the predicate is 2 * ||f||_1 / mu <= best, on and off the edge
+        window = Window(Vertex(2, ()), 4)
+        for i in range(15):
+            f = nonzero_function(T2, window, 11, "sparse", i)
+            l1 = lp_power(T2, f, 1)
+            holds = oscillation_bound(T2, f, 1)
+            for s in cz_supersets(T2, f.support(), Fraction(64)):
+                mu = cz_measure(T2, s)
+                edge = 2 * l1 / mu
+                osc = oscillation(T2, f, s, 1).as_fraction()
+                for best in (osc, edge, edge * Fraction(9999, 10000), edge + Fraction(1, 10**9)):
+                    assert holds(mu, NormValue.exact1(best)) == (edge <= best)
+
 
 def _sqrt_plus_lt(a, s, c) -> bool:
     """sqrt(a) + s < sqrt(c), exactly, for nonnegative rationals."""

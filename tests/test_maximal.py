@@ -6,14 +6,16 @@ import pytest
 
 import treebmo.bruteforce as bf
 from treebmo import maximal
-from treebmo.funcs import FinFunc, average, lp_power, oscillation, oscillation_bound
+from treebmo.funcs import Exponent, FinFunc, average, lp_power, oscillation, oscillation_bound
 from treebmo.maximal import (
+    MaximalResult,
     best_constant_oscillation,
     centered_sharp_maximal,
     hl_maximal,
     maximal_level_set,
     sharp_field,
     sharp_maximal,
+    sup_over_cz,
     threshold_trapezoids,
 )
 from treebmo.randgen import nonzero_function
@@ -26,6 +28,14 @@ U = Vertex(0, (1,))
 V = Vertex(-1, ())
 CHI_U = FinFunc.indicator(U)
 WINDOW = Window(Vertex(2, ()), 4)
+
+
+def _set_by_set(tree, f, q, x, set_value=oscillation):
+    """The sharp maximal function at x from `sup_over_cz`, which offers
+    every CZ set of the climb one by one and shares nothing."""
+    q = Exponent.of(q)
+    best, certificate = sup_over_cz(tree, f, q, [x], lambda s: set_value(tree, f, s, q))
+    return MaximalResult(best.value, best.witness, certificate)
 
 
 class TestHLMaximal:
@@ -169,6 +179,14 @@ class TestCenteredSharp:
             oscillation(T2, f, CZSet(O, 1), 2)
         )
 
+    def test_agrees_with_set_by_set(self):
+        for i in range(3):
+            f = nonzero_function(T2, WINDOW, 29, "sparse", i)
+            for x in [U, O, Vertex(2, (1, 1))]:
+                for q in (1, 2, Fraction(3, 2)):
+                    want = _set_by_set(T2, f, q, x, best_constant_oscillation)
+                    assert centered_sharp_maximal(T2, f, q, x) == want
+
     def test_q1_median_beats_mean_sometimes(self):
         f = CHI_U
         s = CZSet(O, 1)
@@ -183,17 +201,42 @@ class TestSharpField:
         assert all(r.value.is_zero() for r in field.values())
 
     def test_agrees_with_pointwise(self):
-        # every point's value, witness and whole certificate are those of an
-        # unshared climb, whatever order the field visits the points in
+        # every point's value, witness and whole certificate are those of the
+        # set-by-set climb, whatever order the field visits the points in
         for tree, win in ((T2, WINDOW), (Tree(3), Window(Vertex(1, ()), 3))):
             f = nonzero_function(tree, win, 31, "sparse", 0)
             pts = win.members(tree)
             shuffled = pts[:]
             random.Random(31).shuffle(shuffled)
             for q in (1, 2, Fraction(3, 2)):
-                alone = {x: sharp_maximal(tree, f, q, x) for x in pts}
+                alone = {x: _set_by_set(tree, f, q, x) for x in pts}
                 for order in (pts, shuffled):
                     assert sharp_field(tree, f, q, order) == alone
+
+    def test_each_state_climbed_once(self, monkeypatch):
+        # over one field, each (root, t, running witness) state takes one
+        # step; a point that reaches a state climbed before takes its ending
+        steps = Counter()
+        step = maximal._Shared.step
+
+        def counted_step(self, state, best, set_value):
+            steps[state] += 1
+            return step(self, state, best, set_value)
+
+        monkeypatch.setattr(maximal._Shared, "step", counted_step)
+        for tree, win in ((T2, WINDOW), (Tree(3), Window(Vertex(1, ()), 3))):
+            f = nonzero_function(tree, win, 31, "sparse", 0)
+            pts = win.members(tree)
+            for q in (1, 2, Fraction(3, 2)):
+                steps.clear()
+                field = sharp_field(tree, f, q, pts)
+                assert steps and max(steps.values()) == 1
+                assert field == {x: _set_by_set(tree, f, q, x) for x in pts}
+                shared = len(steps)
+                steps.clear()
+                for x in pts:
+                    sharp_maximal(tree, f, q, x)
+                assert shared < sum(steps.values())
 
     def test_point_order_does_not_matter(self):
         f = nonzero_function(T2, WINDOW, 37, "sparse", 1)
