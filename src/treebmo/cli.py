@@ -31,7 +31,6 @@ from .tree import (
     Tree,
     Vertex,
     Window,
-    format_vertex,
     parse_vertex,
     parse_window,
 )
@@ -51,10 +50,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         payload, code = dispatch(args)
+        text = jsonio.dumps(jsonio.report_json(Tree(args.m), payload))
     except (EnumerationError, DomainError, InfeasibleError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    text = jsonio.dumps(payload)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -180,40 +179,35 @@ def _points(tree: Tree, args) -> list[Vertex]:
 
 
 def dispatch(args) -> tuple[object, int]:
+    """The command's result, for `jsonio.report_json`, and the exit code."""
     tree = Tree(args.m)
     cmd = args.command
 
     if cmd == "measure":
         if args.vertex is not None:
             v = parse_vertex(tree, args.vertex)
-            return {"vertex": format_vertex(v), "measure": jsonio.frac_str(tree.weight(v))}, 0
+            return {"vertex": v, "measure": tree.weight(v)}, 0
         if args.ball is not None:
             v = parse_vertex(tree, args.ball[0])
             r = int(args.ball[1])
-            return {
-                "center": format_vertex(v),
-                "radius": r,
-                "measure": jsonio.frac_str(tree.ball_measure_closed(v, r)),
-            }, 0
+            return {"center": v, "radius": r, "measure": tree.ball_measure_closed(v, r)}, 0
         if args.cz is not None:
-            s = jsonio.parse_cz(tree, args.cz)
-            return jsonio.set_json(tree, s), 0
-        s = jsonio.parse_trapezoid(tree, args.trapezoid)
-        return jsonio.set_json(tree, s), 0
+            return jsonio.parse_cz(tree, args.cz), 0
+        return jsonio.parse_trapezoid(tree, args.trapezoid), 0
 
     if cmd == "ball":
         v = parse_vertex(tree, args.center)
         closed = tree.ball_measure_closed(v, args.radius)
         enumerated = tree.ball_measure_enumerated(v, args.radius)
         payload = {
-            "center": format_vertex(v),
+            "center": v,
             "radius": args.radius,
-            "measure_closed": jsonio.frac_str(closed),
-            "measure_enumerated": jsonio.frac_str(enumerated),
+            "measure_closed": closed,
+            "measure_enumerated": enumerated,
             "agree": closed == enumerated,
         }
         if args.members:
-            payload["members"] = [format_vertex(u) for u in tree.ball(v, args.radius)]
+            payload["members"] = tree.ball(v, args.radius)
         return payload, 0 if closed == enumerated else COUNTEREXAMPLE
 
     if cmd == "cz":
@@ -221,67 +215,54 @@ def dispatch(args) -> tuple[object, int]:
 
         r = jsonio.parse_trapezoid(tree, args.trapezoid)
         s = envelope(r)
-        lo, hi = enlargement_depth_range(s)
         return {
-            "trapezoid": jsonio.set_json(tree, r),
-            "envelope": jsonio.set_json(tree, s),
-            "envelope_ratio": jsonio.frac_str(set_measure(tree, s) / set_measure(tree, r)),
-            "enlargement_depths": [lo, hi],
-            "enlargement_measure": jsonio.frac_str(enlargement_measure(tree, s)),
-            "enlargement_ratio": jsonio.frac_str(
-                enlargement_measure(tree, s) / set_measure(tree, s)
-            ),
+            "trapezoid": r,
+            "envelope": s,
+            "envelope_ratio": set_measure(tree, s) / set_measure(tree, r),
+            "enlargement_depths": enlargement_depth_range(s),
+            "enlargement_measure": enlargement_measure(tree, s),
+            "enlargement_ratio": enlargement_measure(tree, s) / set_measure(tree, s),
         }, 0
 
     if cmd == "cover":
         if args.n is not None:
-            s = covering_family(args.n)
-            return {"n": args.n, "set": jsonio.set_json(tree, s)}, 0
+            return {"n": args.n, "set": covering_family(args.n)}, 0
         v = parse_vertex(tree, args.vertex)
         n = covering_index(v)
-        return {
-            "vertex": format_vertex(v),
-            "index": n,
-            "set": jsonio.set_json(tree, covering_family(n)),
-        }, 0
+        return {"vertex": v, "index": n, "set": covering_family(n)}, 0
 
     if cmd == "bmo-norm":
         f = _load_func(tree, args.infile)
-        return jsonio.bmo_report_json(tree, bmo_norm(tree, f, Fraction(args.q))), 0
+        return bmo_norm(tree, f, Fraction(args.q)), 0
 
     if cmd == "sharp":
         f = _load_func(tree, args.infile)
-        field = sharp_field(tree, f, Fraction(args.q), _points(tree, args))
-        return {format_vertex(x): jsonio.maximal_json(tree, r) for x, r in field.items()}, 0
+        return sharp_field(tree, f, Fraction(args.q), _points(tree, args)), 0
 
     if cmd == "maximal":
         phi = _load_func(tree, args.infile)
-        out = {
-            format_vertex(x): jsonio.maximal_json(tree, hl_maximal(tree, phi, x))
-            for x in _points(tree, args)
-        }
-        return out, 0
+        return {x: hl_maximal(tree, phi, x) for x in _points(tree, args)}, 0
 
     if cmd == "decompose":
         g = _load_func(tree, args.infile)
         q = Fraction(args.q)
         if args.all:
-            return jsonio.telescoping_json(tree, telescoping_h1_upper(tree, g, q)), 0
-        return jsonio.split_json(tree, good_bad_split(tree, g, q, args.j)), 0
+            return telescoping_h1_upper(tree, g, q), 0
+        return good_bad_split(tree, g, q, args.j), 0
 
     if cmd == "h1":
         g = _load_func(tree, args.infile)
         window = _family_window(tree, args)
         family = _auto_family(tree, window)
         candidates = _candidates(tree, window, args.candidates)
-        return jsonio.h1_json(tree, h1_estimate(tree, g, family, candidates)), 0
+        return h1_estimate(tree, g, family, candidates), 0
 
     if cmd == "hormander":
         with open(args.kernel) as fh:
             kernel = jsonio.parse_kernel(tree, json.load(fh))
         window = _family_window(tree, args)
         family = cz_in_window(tree, window, args.h_max)
-        return jsonio.hormander_json(tree, hormander_constant(tree, kernel, family)), 0
+        return hormander_constant(tree, kernel, family), 0
 
     if cmd in ("check", "constants"):
         from .suites import run_suite

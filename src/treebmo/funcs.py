@@ -185,14 +185,6 @@ def _frac_to_float(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def sqrt_plus_le(a: Fraction, s: Fraction, c: Fraction) -> bool:
-    """Decide sqrt(a) + s <= sqrt(c) exactly, for rationals a, s, c >= 0."""
-    rest = c - a - s * s
-    if rest < 0:
-        return False
-    return 4 * s * s * a <= rest * rest
-
-
 def sqrt_le_two_term(c: Fraction, alpha: Fraction, a: Fraction, beta: Fraction, b: Fraction) -> bool:
     """Decide sqrt(c) <= alpha*sqrt(a) + beta*sqrt(b) exactly (all inputs >= 0)."""
     rest = c - alpha * alpha * a - beta * beta * b
@@ -468,8 +460,22 @@ def oscillation_bound(tree: Tree, f: FinFunc, q) -> Callable[[Fraction, NormValu
 
         return holds1
     if q.value == 2:
+        # sqrt(l2 / mu) + l1 / mu <= sqrt(best**2), in integers: with l1 = A/D,
+        # l2 = B/D, mu = p/r and best**2 = u/w, it holds iff R >= 0 and
+        # 4 A**2 B D r**3 w**2 p <= R**2, where R = u D**2 p**2 - w r (B D p + A**2 r)
         l2 = lp_power(tree, f, 2)
-        return lambda mu, best: sqrt_plus_le(l2 / mu, l1 / mu, best.sq)
+        den = math.lcm(l1.denominator, l2.denominator)
+        a2 = (l1.numerator * (den // l1.denominator)) ** 2
+        bd = l2.numerator * (den // l2.denominator) * den
+        dd, k = den * den, 4 * a2 * bd
+
+        def holds2(mu: Fraction, best: NormValue) -> bool:
+            sq = best.sq
+            p, r, u, w = mu.numerator, mu.denominator, sq.numerator, sq.denominator
+            rest = u * dd * p * p - w * r * (bd * p + a2 * r)
+            return rest >= 0 and k * r**3 * w * w * p <= rest * rest
+
+        return holds2
     qf = float(q)
     lq = sum(
         abs(_frac_to_float(val)) ** qf * _frac_to_float(tree.weight(v))

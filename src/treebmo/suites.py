@@ -28,7 +28,7 @@ from .hardy import (
     h1_lp_gauge,
     normalize_to_atom,
 )
-from .jsonio import finfunc_json, set_json
+from .jsonio import report_json
 from .maximal import centered_sharp_maximal, sharp_field, sharp_maximal
 from .randgen import RunConfig, nonzero_function
 from .sets import (
@@ -92,13 +92,13 @@ class ConstantsReport:
         self.counts[key] += cases
         if not holds:
             row = _CHECKS[key]
-            cex = {k: _json(self.m, v) for k, v in counterexample.items()}
+            cex = report_json(Tree(self.m), counterexample)
             self.violations.append(Violation(row.name or key, row.violated, cex))
 
     def record(self, key: str, **data) -> None:
         """Report how many cases of the row `key` ran, with `data`."""
         row = _CHECKS[key]
-        data = {k: _json(self.m, v) for k, v in data.items()}
+        data = report_json(Tree(self.m), data)
         self.records.append(Record(key, row.recorded, self.counts[key], data))
 
     def to_json(self) -> dict:
@@ -114,15 +114,6 @@ class ConstantsReport:
             ],
             "violations": [v._asdict() for v in self.violations],
         }
-
-
-def _json(m: int, value):
-    """A counterexample or record value in the notation of the rest of the JSON."""
-    if isinstance(value, FinFunc):
-        return finfunc_json(value)
-    if isinstance(value, (CZSet, AdmissibleTrapezoid)):
-        return set_json(Tree(m), value)
-    return str(value) if isinstance(value, (Vertex, Fraction)) else value
 
 
 def _merge(reports: list[ConstantsReport], config: RunConfig) -> ConstantsReport:

@@ -18,7 +18,6 @@ from treebmo.funcs import (
     oscillation,
     oscillation_bound,
     pairing,
-    sqrt_plus_le,
 )
 from treebmo.randgen import KINDS, nonzero_function
 from treebmo.sets import CZSet, GeneralTrapezoid, cz_measure, cz_supersets
@@ -56,11 +55,6 @@ class TestNormValue:
     def test_scaling(self):
         v = NormValue.exact_sqrt(Fraction(9, 4))
         assert v.scaled(Fraction(2)).eq_value(NormValue.exact1(3))
-
-    def test_sqrt_plus_le(self):
-        # sqrt(4) + 1 = 3 <= sqrt(9); not <= sqrt(8)
-        assert sqrt_plus_le(Fraction(4), Fraction(1), Fraction(9))
-        assert not sqrt_plus_le(Fraction(4), Fraction(1), Fraction(8))
 
     def test_norm_le_sum_two_terms(self):
         # sqrt(8) <= sqrt(2) + sqrt(2) holds with equality
@@ -204,18 +198,45 @@ class TestAverageOscillation:
                     )
 
     def test_q1_cutoff_is_the_exact_comparison(self):
-        # at q = 1 the predicate is 2 * ||f||_1 / mu <= best, on and off the edge
+        # at q = 1 the predicate is 2 * ||f||_1 / mu <= best, and at q = 2 it is
+        # sqrt(||f||_2^2 / mu) + ||f||_1 / mu <= best, on and off the edge
         window = Window(Vertex(2, ()), 4)
+        near = (Fraction(1), 1 - Fraction(1, 10**9), 1 + Fraction(1, 10**9))
         for i in range(15):
             f = nonzero_function(T2, window, 11, "sparse", i)
-            l1 = lp_power(T2, f, 1)
-            holds = oscillation_bound(T2, f, 1)
+            l1, l2 = lp_power(T2, f, 1), lp_power(T2, f, 2)
+            holds, holds2 = oscillation_bound(T2, f, 1), oscillation_bound(T2, f, 2)
             for s in cz_supersets(T2, f.support(), Fraction(64)):
                 mu = cz_measure(T2, s)
                 edge = 2 * l1 / mu
                 osc = oscillation(T2, f, s, 1).as_fraction()
                 for best in (osc, edge, edge * Fraction(9999, 10000), edge + Fraction(1, 10**9)):
                     assert holds(mu, NormValue.exact1(best)) == (edge <= best)
+                # the q = 2 edge (sqrt(a) + b)**2 is irrational here: test about it
+                a, b = l2 / mu, l1 / mu
+                edge2 = Fraction((math.sqrt(a) + b) ** 2)
+                for sq in [oscillation(T2, f, s, 2).sq] + [edge2 * c for c in near]:
+                    assert holds2(mu, NormValue.exact_sqrt(sq)) == _sqrt_plus_le(a, b, sq)
+        # f = c at O and mu = weight(O) * k**2 give sqrt(a) = |c| / k and
+        # b = |c| / k**2, so the q = 2 edge is rational: c = 4, k = 2 is 2 + 1 = sqrt(9)
+        for c, k in [(4, 2), (Fraction(-3, 2), 1), (5, Fraction(3, 7)), (Fraction(1, 3), 4)]:
+            f = FinFunc({O: c})
+            holds2 = oscillation_bound(T2, f, 2)
+            mu = T2.weight(O) * k * k
+            edge2 = (abs(c) / k + abs(c) / (k * k)) ** 2
+            assert holds2(mu, NormValue.exact_sqrt(edge2))
+            assert not holds2(mu, NormValue.exact_sqrt(edge2 * near[1]))
+            assert holds2(mu, NormValue.exact_sqrt(edge2 * near[2]))
+            assert holds2(mu, NormValue.exact1(abs(c) / k + abs(c) / (k * k)))
+        assert not oscillation_bound(T2, FinFunc({O: 4}), 2)(
+            4 * T2.weight(O), NormValue.exact_sqrt(8)
+        )
+
+
+def _sqrt_plus_le(a, s, c) -> bool:
+    """sqrt(a) + s <= sqrt(c), exactly, for nonnegative rationals."""
+    rest = c - a - s * s
+    return rest >= 0 and 4 * s * s * a <= rest * rest
 
 
 def _sqrt_plus_lt(a, s, c) -> bool:

@@ -279,7 +279,7 @@ def _payload(name: str) -> list:
                 out.append(
                     {
                         "omega": sorted(format_vertex(v) for v in omega),
-                        "certificate": jsonio.certificate_json(cert),
+                        "certificate": jsonio.report_json(tree, cert),
                     }
                 )
         elif name == "cz_supersets":

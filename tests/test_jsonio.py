@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from treebmo import jsonio
 from treebmo.bmo import bmo_norm
 from treebmo.funcs import FinFunc, NormValue
+from treebmo.hardy import Atom
 from treebmo.sets import AdmissibleTrapezoid, CZSet
 from treebmo.tree import Tree, Vertex, Window
 
@@ -135,3 +137,25 @@ def test_dumps_writes_a_report_like_json_dumps():
 def test_dumps_refuses_what_json_refuses():
     with pytest.raises(TypeError):
         jsonio.dumps({"value": Fraction(1, 3)})
+
+
+@pytest.mark.parametrize(
+    "obj", [object(), {1, 2}, Window(Vertex(2, ()), 4), {"points": [Fraction(1), object()]}]
+)
+def test_report_json_refuses_an_unknown_type(obj):
+    with pytest.raises(TypeError, match=r"Object of type \w+ is not JSON serializable"):
+        jsonio.report_json(T2, obj)
+
+
+# dataclass fields no report carries: every reported atom is a (1, inf)-atom
+LEFT_OUT = {Atom: {"p"}}
+
+
+def test_every_field_is_reported_or_left_out():
+    for cls, row in jsonio._ROWS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        read = {name for _, name, _ in row}
+        assert fields - read == LEFT_OUT.get(cls, set()), cls.__name__
+        # a row may read a property beside the fields (GoodBadSplit.c_bad)
+        assert all(name in fields or isinstance(getattr(cls, name), property) for name in read)
+    assert LEFT_OUT.keys() <= jsonio._ROWS.keys()
