@@ -56,6 +56,15 @@ class TestNormValue:
         v = NormValue.exact_sqrt(Fraction(9, 4))
         assert v.scaled(Fraction(2)).eq_value(NormValue.exact1(3))
 
+    def test_sqrt_plus_le(self):
+        # sqrt(4) + 1 = 3 <= sqrt(9); not <= sqrt(8).  The q = 2 stop test decides
+        # sqrt(||f||_2^2 / mu) + ||f||_1 / mu <= best; f = 4 at O with
+        # mu = 4 * weight(O) gives sqrt(4) + 1
+        holds2 = oscillation_bound(T2, FinFunc({O: 4}), 2)
+        mu = 4 * T2.weight(O)
+        assert holds2(mu, NormValue.exact_sqrt(9))
+        assert not holds2(mu, NormValue.exact_sqrt(8))
+
     def test_norm_le_sum_two_terms(self):
         # sqrt(8) <= sqrt(2) + sqrt(2) holds with equality
         c = NormValue.exact_sqrt(8)
