@@ -242,7 +242,7 @@ class FinFunc:
         return self._data.get(v, Fraction(0))
 
     def support(self) -> list[Vertex]:
-        return sorted(self._data, key=lambda v: (v.anchor, v.word))
+        return sorted(self._data)
 
     def items(self):
         return self._data.items()

@@ -40,6 +40,7 @@ from .sets import (
     envelope,
     member_count,
     members,
+    ordered_members,
     set_measure,
     smallest_enclosing_cz,
     witness_key,
@@ -438,31 +439,26 @@ def h1_lp_gauge(tree: Tree, g: FinFunc, family: Sequence[CZSet]) -> GaugeResult:
     A one-set family forces b_S = g, so the gauge is measure(S) * max|g|
     with the single piece g / t: the simplex's own optimum, returned in
     closed form without listing the members of S.  Larger families are
-    solved by exact rational simplex.
+    solved by exact rational simplex.  Every set's member count is checked
+    against MAX_UNIVERSE in closed form before any member is listed.
 
     An upper bound for the atomic norm that can only decrease as the
     family grows.  Raises InfeasibleError when no decomposition exists
     (support not covered, nonzero integral, or no zero-integral routing).
     """
-    fam = []
-    seen = set()
-    for s in family:
-        key = (s.root, s.h, s.degenerate)
-        if key not in seen:
-            seen.add(key)
-            fam.append(s)
+    fam = list(dict.fromkeys(family))
     if not fam:
         raise ValueError("family must be nonempty")
     if len(fam) > MAX_FAMILY:
         raise ValueError(f"family size {len(fam)} exceeds the cap {MAX_FAMILY}")
     if integral(tree, g) != 0:
         raise InfeasibleError("nonzero integral: no atomic decomposition exists")
+    count = max(member_count(tree, s) for s in fam)
+    if count > MAX_UNIVERSE:
+        raise ValueError(f"{count} member vertices exceed the cap {MAX_UNIVERSE}")
     if len(fam) > 1:
         return _gauge_lp(tree, g, fam)
     (s,) = fam
-    count = member_count(tree, s)
-    if count > MAX_UNIVERSE:
-        raise ValueError(f"{count} member vertices exceed the cap {MAX_UNIVERSE}")
     for v in g.support():
         if not s.contains(v):
             raise InfeasibleError(f"support vertex {v} is covered by no family set")
@@ -474,86 +470,48 @@ def h1_lp_gauge(tree: Tree, g: FinFunc, family: Sequence[CZSet]) -> GaugeResult:
 
 def _gauge_lp(tree: Tree, g: FinFunc, fam: list[CZSet]) -> GaugeResult:
     """The gauge's exact LP over a de-duplicated nonempty family, for a
-    zero-integral g: one (p, n, slack) column triple per (set, member)
-    pair and one t column per set."""
-    member_lists = [sorted(members(tree, s), key=lambda v: (v.anchor, v.word)) for s in fam]
-    universe = sorted({v for lst in member_lists for v in lst}, key=lambda v: (v.anchor, v.word))
+    zero-integral g.
+
+    Of the n (set i, member v) pairs, listed set by set in Vertex order,
+    pair k owns the columns k and n + k (b_i(v) is their difference) and
+    the slack 2n + k, and set i owns t_i at 3n + i.  The rows are g's
+    value at each vertex of the universe (the union of the sets, in Vertex
+    order), the zero integral of each b_i, and
+    measure(S_i) (p + n) + slack = t_i for each pair; the cost is the sum
+    of the t_i.
+    """
+    pairs = [(i, v) for i, s in enumerate(fam) for v in ordered_members(tree, s)]
+    universe = sorted({v for _, v in pairs})
     if len(universe) > MAX_UNIVERSE:
         raise ValueError(f"{len(universe)} member vertices exceed the cap {MAX_UNIVERSE}")
-    uidx = {v: i for i, v in enumerate(universe)}
+    value_row = {v: r for r, v in enumerate(universe)}
     for v in g.support():
-        if v not in uidx:
+        if v not in value_row:
             raise InfeasibleError(f"support vertex {v} is covered by no family set")
 
-    pairs = [(si, v) for si, lst in enumerate(member_lists) for v in lst]
-    npairs = len(pairs)
-    nvars = 3 * npairs + len(fam)  # p, n, slack per pair; t per set
-
-    def p_var(k):
-        return k
-
-    def n_var(k):
-        return npairs + k
-
-    def s_var(k):
-        return 2 * npairs + k
-
-    def t_var(si):
-        return 3 * npairs + si
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    zero = Fraction(0)
-    # reconstruction per universe vertex
-    by_vertex: dict[Vertex, list[int]] = {}
-    for k, (si, v) in enumerate(pairs):
-        by_vertex.setdefault(v, []).append(k)
-    for v in universe:
-        row = [zero] * nvars
-        for k in by_vertex.get(v, []):
-            row[p_var(k)] = Fraction(1)
-            row[n_var(k)] = Fraction(-1)
-        rows.append(row)
-        rhs.append(g.at(v))
-    # zero integral per set
-    for si, lst in enumerate(member_lists):
-        row = [zero] * nvars
-        for k, (sj, v) in enumerate(pairs):
-            if sj == si:
-                w = tree.weight(v)
-                row[p_var(k)] = w
-                row[n_var(k)] = -w
-        rows.append(row)
-        rhs.append(zero)
-    # sup-norm coupling per pair
+    n, nsets, nvalues = len(pairs), len(fam), len(universe)
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[zero] * (3 * n + nsets) for _ in range(nvalues + nsets + n)]
     measures = [cz_measure(tree, s) for s in fam]
-    for k, (si, v) in enumerate(pairs):
-        row = [zero] * nvars
-        row[p_var(k)] = measures[si]
-        row[n_var(k)] = measures[si]
-        row[s_var(k)] = Fraction(1)
-        row[t_var(si)] = Fraction(-1)
-        rows.append(row)
-        rhs.append(zero)
-    cost = [zero] * nvars
-    for si in range(len(fam)):
-        cost[t_var(si)] = Fraction(1)
+    for k, (i, v) in enumerate(pairs):
+        w = tree.weight(v)
+        value, mass, bound = rows[value_row[v]], rows[nvalues + i], rows[nvalues + nsets + k]
+        value[k], value[n + k] = one, -one
+        mass[k], mass[n + k] = w, -w
+        bound[k] = bound[n + k] = measures[i]
+        bound[2 * n + k], bound[3 * n + i] = one, -one
+    rhs = [g.at(v) for v in universe] + [zero] * (nsets + n)
+    sol = solve_lp(rows, rhs, [zero] * (3 * n) + [one] * nsets)
 
-    sol = solve_lp(rows, rhs, cost)
+    x = sol.x
+    parts: list[dict[Vertex, Fraction]] = [{} for _ in fam]
+    for k, (i, v) in enumerate(pairs):
+        parts[i][v] = x[k] - x[n + k]
     pieces: list[tuple[Fraction, Atom]] = []
-    for si, s in enumerate(fam):
-        b = FinFunc(
-            {
-                v: sol.x[p_var(k)] - sol.x[n_var(k)]
-                for k, (sj, v) in enumerate(pairs)
-                if sj == si
-            }
-        )
-        t = sol.x[t_var(si)]
-        if b:
-            atom = Atom(b.scaled(1 / t), s, Exponent.of(None)) if t else None
-            if atom is not None:
-                pieces.append((t, atom))
+    for i, (s, part) in enumerate(zip(fam, parts)):
+        b, t = FinFunc(part), x[3 * n + i]
+        if b and t:
+            pieces.append((t, Atom(b.scaled(1 / t), s, Exponent.of(None))))
     return GaugeResult(sol.objective, tuple(pieces), tuple(fam))
 
 

@@ -68,7 +68,7 @@ def norm_json(n: NormValue) -> dict:
 def finfunc_json(f: FinFunc) -> list[dict]:
     return [
         {"v": format_vertex(v), "val": frac_str(val)}
-        for v, val in sorted(f.items(), key=lambda kv: (kv[0].anchor, kv[0].word))
+        for v, val in sorted(f.items())
     ]
 
 

@@ -33,6 +33,7 @@ from .tree import (
     format_vertex,
     join,
     level,
+    vertex_sort_key,
 )
 
 
@@ -296,19 +297,8 @@ def rooted_bands(
     heights of heights(t) not yet yielded at that root.  keep runs only
     after the caller has consumed every earlier yield, so it may read a
     running best.  The stream ends when every chain has stopped.
-
-    A single start yields wave t as ancestor(u, t) with all of heights(t):
-    one chain never meets a root twice, so it keeps no record of what it
-    yielded.
     """
     alive = list(starts)
-    if len(alive) == 1:
-        (u,) = alive
-        t = 1
-        while keep(u, t):
-            yield ancestor(u, t), list(heights(t))
-            t += 1
-        return
     seen: set[tuple[Vertex, int]] = set()
     t = 0
     while alive:
@@ -338,7 +328,7 @@ def cz_supersets(
     some support vertex u at height t with 3 * m**(level(u) + t) > cap.
     Each set is yielded exactly once.
     """
-    supp = sorted(set(support), key=lambda v: (-level(v), v.anchor, v.word))
+    supp = sorted(set(support), key=vertex_sort_key)
     if not supp:
         raise ValueError("support must be nonempty")
     cap = Fraction(max_measure)

@@ -287,7 +287,7 @@ def suite_sharp(config: RunConfig) -> ConstantsReport:
         lo, _ = norm.witness.depth_range()
         witness_point = next(tree.descendants_at_depth(norm.witness.root, lo))
         pts = set(window.members(tree)) | {witness_point}
-        field_vals = sharp_field(tree, f, 1, sorted(pts, key=lambda v: (v.anchor, v.word)))
+        field_vals = sharp_field(tree, f, 1, sorted(pts))
         sup = max((r.value for r in field_vals.values()), default=NormValue.zero())
         holds = sup.eq_value(norm.value)
         rep.check("supfield", holds, f=f, field_sup=str(sup), bmo=str(norm.value))

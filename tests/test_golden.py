@@ -4,12 +4,13 @@ Each case serialises seeded calls with `jsonio` and compares the sha256 of
 the text with a digest recorded from a known-good implementation.  A change
 to any value, witness, certificate field (`sets_evaluated` included), the
 level-set contents, the order in which `cz_supersets` yields its sets, the
-trapezoids a good/bad split selects, or a Hörmander constant's witness set
-and pair changes a digest.  Refactors of the streams and of the set
-geometry must keep every digest.  The `approximate_mode` case pins the
-float outputs of exponents outside {1, 2, inf} bit for bit; `suite_reports`
-pins the property-suite reports at full size and `suite_violations` their
-counterexample JSON.
+trapezoids a good/bad split selects, a Hörmander constant's witness set
+and pair, or the optimal vertex the simplex returns for an `h1_lp_gauge`
+LP (its value and pieces) changes a digest.  Refactors of the streams, of
+the set geometry and of the LP's layout must keep every digest.  The
+`approximate_mode` case pins the float outputs of exponents outside
+{1, 2, inf} bit for bit; `suite_reports` pins the property-suite reports at
+full size and `suite_violations` their counterexample JSON.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from treebmo import bmo, bruteforce, hardy, jsonio, maximal, sets, suites
 from treebmo.bmo import KernelWindow, bmo_norm, hormander_constant
 from treebmo.bruteforce import cz_in_window
 from treebmo.funcs import FinFunc, NormValue, lp_norm, oscillation
-from treebmo.hardy import _ceil_log2, good_bad_split, telescoping_h1_upper
+from treebmo.hardy import _ceil_log2, good_bad_split, h1_lp_gauge, telescoping_h1_upper
 from treebmo.maximal import (
     centered_sharp_maximal,
     hl_maximal,
@@ -33,9 +34,9 @@ from treebmo.maximal import (
     sharp_maximal,
 )
 from treebmo.randgen import KINDS, RunConfig, nonzero_function
-from treebmo.sets import cz_supersets
+from treebmo.sets import CZSet, cz_supersets, smallest_enclosing_cz
 from treebmo.suites import SUITES, _merge, run_suite
-from treebmo.tree import ORIGIN, Tree, Vertex, Window, distance, format_vertex
+from treebmo.tree import ORIGIN, Tree, Vertex, Window, distance, father, format_vertex
 
 # (tree, window, cz_supersets cap)
 SETTINGS = (
@@ -64,12 +65,18 @@ HORMANDER = (
 )
 HORMANDER_SEEDS = range(8)
 KERNEL_ROWS = 12
+# LP gauges: zero-integral atom-combo functions on H1_GAUGE_WINDOW over the
+# two-set family h1-gauge builds, the smallest enclosing CZ set and the set
+# of the same height at its father; seeds whose LPs take 0.5-0.7 s each
+H1_GAUGE_WINDOW = Window(Vertex(2, ()), 2)
+H1_GAUGE_SEEDS = (3, 11, 15, 20)
 # approximate mode: suite reports per (m, q), and exponents outside {1, 2, inf}
 SUITE_EXPONENTS = (Fraction(1), Fraction(3, 2), Fraction(2))
 APPROX_EXPONENTS = (Fraction(3, 2), Fraction(5, 2), Fraction(3))
 # exact suite reports at full size: (m, suites); the m = 3 decompose suite
-# is left out for cost (its h1-sandwich LPs take ~18 s per seed), and
-# approximate_mode already pins it at size 3
+# takes about 0.03 s per seed, as its gauges are one-set closed forms, but
+# adding it would change the recorded bytes, and approximate_mode already
+# pins it at size 3
 SUITE_REPORT_RUNS = ((2, SUITES), (3, tuple(s for s in SUITES if s != "decompose")))
 SUITE_REPORT_SEEDS = (0, 1)
 SUITE_REPORT_SIZE = 25
@@ -176,8 +183,19 @@ def _maximal_map(tree, fn, probes):
     return {format_vertex(x): jsonio.maximal_json(tree, fn(x)) for x in probes}
 
 
+def _gauge_family(tree, g):
+    holder = smallest_enclosing_cz(tree, g.support())
+    return [holder, CZSet(father(holder.root), holder.h)]
+
+
 def _payload(name: str) -> list:
     out = []
+    if name == "h1_lp_gauge":
+        tree = Tree(2)
+        for seed in H1_GAUGE_SEEDS:
+            g = nonzero_function(tree, H1_GAUGE_WINDOW, seed, "atom-combo")
+            out.append(jsonio.report_json(tree, h1_lp_gauge(tree, g, _gauge_family(tree, g))))
+        return out
     if name == "good_bad_split":
         for tree, window, _ in SETTINGS:
             for kind in SPLIT_KINDS:
@@ -322,6 +340,10 @@ DIGESTS = {
         "bc3a9baf3797772fad70d5f9f92934eb"
         "557b0123c547877fed4f03b704297258"
     ),
+    "h1_lp_gauge": (
+        "cf11a6086d662460018913182f3b43d6"
+        "647e2f044aadac3a2407be45ab6a9cc2"
+    ),
     "hormander_constant": (
         "e434faf97aae443b0583d284bc068f5c"
         "4404ddbb39107b859d9f359d9dc98ca4"
@@ -349,3 +371,27 @@ DIGESTS = {
 def test_stream_digest(name):
     text = jsonio.dumps(_payload(name))
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_gauge_lp_shape(monkeypatch):
+    """The LP of the first h1_lp_gauge case has the layout `_gauge_lp`
+    states: a row per universe vertex, per set and per (set, member) pair,
+    and p, n and slack columns per pair plus a t column per set."""
+    tree = Tree(2)
+    g = nonzero_function(tree, H1_GAUGE_WINDOW, H1_GAUGE_SEEDS[0], "atom-combo")
+    family = _gauge_family(tree, g)
+    captured = []
+    solve_lp = hardy.solve_lp
+
+    def capture(rows, rhs, cost):
+        captured.append((rows, rhs, cost))
+        return solve_lp(rows, rhs, cost)
+
+    monkeypatch.setattr(hardy, "solve_lp", capture)
+    h1_lp_gauge(tree, g, family)
+    (rows, rhs, cost), = captured
+    n = sum(sets.member_count(tree, s) for s in family)
+    universe = {v for s in family for v in sets.members(tree, s)}
+    assert len(rows) == len(rhs) == len(universe) + len(family) + n
+    assert {len(row) for row in rows} == {len(cost)} == {3 * n + len(family)}
+    assert cost == [0] * (3 * n) + [1] * len(family)

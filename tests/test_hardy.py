@@ -487,6 +487,22 @@ class TestGauge:
         with pytest.raises(ValueError, match=msg):
             h1_lp_gauge(T3, ATOM, [big, big])
 
+    def test_family_member_cap_before_listing(self, monkeypatch):
+        # the largest set's count is checked in closed form, so neither set is listed
+        import treebmo.hardy as hardy
+
+        def listed(tree, s):
+            raise AssertionError(f"{s} was listed")
+
+        monkeypatch.setattr(hardy, "members", listed)
+        monkeypatch.setattr(hardy, "ordered_members", listed, raising=False)
+        T3 = Tree(3)
+        big, smaller = CZSet(O, 10), CZSet(O, 9)
+        msg = f"{member_count(T3, big)} member vertices exceed the cap {MAX_UNIVERSE}"
+        for family in ([big, smaller], [smaller, big]):
+            with pytest.raises(ValueError, match=msg):
+                h1_lp_gauge(T3, FinFunc(), family)
+
     def test_pieces_reassemble(self):
         from treebmo.tree import father
 
