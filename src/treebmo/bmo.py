@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .funcs import Exponent, FinFunc, NormValue, oscillation, pairing
+from .funcs import Exponent, FinFunc, NormValue, SupportIndex, oscillation, pairing
 from .maximal import CutoffCertificate, sup_over_cz
 from .sets import CZSet, band_within, enlargement, ordered_members
 from .tree import Tree, Vertex, Window, ancestor, level
@@ -38,7 +38,8 @@ def bmo_norm(tree: Tree, f: FinFunc, q) -> BmoReport:
 
     Exact for q in {1, 2}; other exponents run in approximate mode.  The
     certificate records the measure floor past which no set was evaluated
-    together with the bound that makes the truncation lossless.
+    together with the bound that makes the truncation lossless.  Every set
+    is valued by `oscillation` through one `SupportIndex` of f.
     """
     q = Exponent.of(q)
     if q.is_inf:
@@ -52,8 +53,9 @@ def bmo_norm(tree: Tree, f: FinFunc, q) -> BmoReport:
             CutoffCertificate("zero function", None, None, 0),
             0,
         )
+    index = SupportIndex(f)
     best, certificate = sup_over_cz(
-        tree, f, q, f.support(), lambda s: oscillation(tree, f, s, q)
+        tree, f, q, f.support(), lambda s: oscillation(tree, f, s, q, index=index)
     )
     evaluated = certificate.sets_evaluated
     return BmoReport(best.value, q, best.witness, certificate, evaluated)
@@ -151,7 +153,7 @@ def hormander_constant(
         if not win.contains(x):
             raise DomainError(f"kernel x-support vertex {x} escapes the window")
     weighted = []
-    unit = 1  # not lcm(*generator), as in funcs.oscillation
+    unit = 1  # not lcm(*generator), as in funcs.SupportIndex
     for y, x, val in kernel.entries:
         w = val * tree.weight(x)
         weighted.append((y, x, w))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import jsonio
 from .bmo import DomainError, bmo_norm, hormander_constant
 from .funcs import FinFunc
-from .hardy import good_bad_split, h1_estimate, telescoping_h1_upper
+from .hardy import MAX_CANDIDATES, MAX_FAMILY, good_bad_split, h1_estimate, telescoping_h1_upper
 from .maximal import hl_maximal, sharp_field
 from .randgen import RunConfig, nonzero_function
 from .sets import (
@@ -23,6 +23,7 @@ from .sets import (
     covering_family,
     covering_index,
     cz_in_window,
+    cz_in_window_count,
     envelope,
     set_measure,
 )
@@ -284,7 +285,12 @@ def _family_window(tree: Tree, args) -> Window:
 
 
 def _auto_family(tree: Tree, window: Window):
-    return cz_in_window(tree, window, max(1, (window.depth + 1) // 4))
+    """The `h1` family of the window, refused before anything is listed if
+    it holds more than the gauge's MAX_FAMILY sets."""
+    h_max = max(1, (window.depth + 1) // 4)
+    if cz_in_window_count(tree, window, h_max, MAX_FAMILY) > MAX_FAMILY:
+        raise ValueError(f"family auto:{window} holds more than the cap of {MAX_FAMILY} CZ sets")
+    return cz_in_window(tree, window, h_max)
 
 
 def _candidates(tree: Tree, window: Window, spec: str) -> list[FinFunc]:
@@ -292,6 +298,8 @@ def _candidates(tree: Tree, window: Window, spec: str) -> list[FinFunc]:
     if len(parts) != 3 or parts[0] != "random":
         raise ValueError("candidates spec must be 'random:<seed>:<count>'")
     seed, count = int(parts[1]), int(parts[2])
+    if not 0 <= count <= MAX_CANDIDATES:
+        raise ValueError(f"candidate count {count} is not in 0..{MAX_CANDIDATES}")
     return [
         nonzero_function(tree, window, seed, "sparse", i) for i in range(count)
     ]

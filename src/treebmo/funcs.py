@@ -401,18 +401,57 @@ def average(tree: Tree, f: FinFunc, s: TrapezoidLike) -> Fraction:
     return sum((v * w for v, w in pairs), Fraction(0)) / mu
 
 
-def oscillation(tree: Tree, f: FinFunc, s: TrapezoidLike, q) -> NormValue:
+class SupportIndex:
+    """f's values as integer numerators over one common denominator `unit`,
+    and, for each root asked about, the (numerator, depth) of the support
+    vertices below that root.
+
+    A root's list is found once, with one `depth_below` per support vertex,
+    so the sets rooted there read it instead of testing the whole support
+    each.  No father chain is walked, so a support vertex far from the root
+    costs no more than a near one.  One index serves one function: a search
+    over many sets of f builds it once and passes it to `oscillation`.
+    """
+
+    __slots__ = ("unit", "nums", "below")
+
+    def __init__(self, f: FinFunc) -> None:
+        unit = 1  # not lcm(*generator): its shrunk argument tuple stays on a free list
+        for _, val in f.items():
+            unit = math.lcm(unit, val.denominator)
+        self.unit = unit
+        self.nums = [(v, val.numerator * (unit // val.denominator)) for v, val in f.items()]
+        self.below: dict[Vertex, list[tuple[int, int]]] = {}
+
+    def at(self, root: Vertex) -> list[tuple[int, int]]:
+        """(numerator, depth below root) of each support vertex below root."""
+        held = self.below.get(root)
+        if held is None:
+            held = self.below[root] = []
+            for v, num in self.nums:
+                d = depth_below(v, root)
+                if d is not None:
+                    held.append((num, d))
+        return held
+
+
+def oscillation(
+    tree: Tree, f: FinFunc, s: TrapezoidLike, q, *, index: SupportIndex | None = None
+) -> NormValue:
     """q-oscillation of f over s: the Lq mean of |f - mean(f)| on s.
 
     Only the support of f is visited; the off-support members of s enter
     through their total measure, since f vanishes there.  For q in {1, 2}
-    the sums are integers: with B the lcm of the denominators of f on s and
-    levels the number of depths d = lo..hi of s, a member at depth d weighs
-    m**(level(root) - hi) * m**(hi - d) and s measures m**(level(root) - hi)
-    * M, where M = levels * m**hi.  The common power cancels, so the mean
-    oscillation is N / (B * M**2) for q = 1 and N / (B**2 * M**3) for q = 2,
-    with N an integer.  A set holding no support vertex gives the zero of
-    its q.  Other exponents take the Fraction and float route of `lq_mean`.
+    the sums are integers: with B the common denominator of f's
+    `SupportIndex` and levels the number of depths d = lo..hi of s, a member
+    at depth d weighs m**(level(root) - hi) * m**(hi - d) and s measures
+    m**(level(root) - hi) * M, where M = levels * m**hi.  The common power
+    cancels, so the mean oscillation is N / (B * M**2) for q = 1 and
+    N / (B**2 * M**3) for q = 2, with N an integer.  The support vertices in
+    s are read from the index's list for the root of s; a search over many
+    sets passes one `index` of f, and a call without one builds its own.
+    A set holding no support vertex gives the zero of its q.  Other
+    exponents take the Fraction and float route of `lq_mean`.
     """
     q = Exponent.of(q)
     if q.is_inf:
@@ -423,19 +462,14 @@ def oscillation(tree: Tree, f: FinFunc, s: TrapezoidLike, q) -> NormValue:
     lo, hi = s.depth_range()
     if hi < lo:
         raise ZeroMeasureError("cannot average over a set of measure 0")
-    held = []
-    unit = 1  # not lcm(*generator): its shrunk argument tuple stays on a free list
-    for v, val in f.items():
-        d = depth_below(v, s.root)
-        if d is not None and lo <= d <= hi:
-            held.append((val, d))
-            unit = math.lcm(unit, val.denominator)
+    if index is None:
+        index = SupportIndex(f)
     m = tree.m
     total = (hi - lo + 1) * m**hi
-    scaled = [(val.numerator * (unit // val.denominator), m ** (hi - d)) for val, d in held]
+    scaled = [(num, m ** (hi - d)) for num, d in index.at(s.root) if lo <= d <= hi]
     # the mean is centre / (unit * total); count values in units of that
     centre = sum(num * w for num, w in scaled)
-    return _lq_mean([(num * total, w) for num, w in scaled], centre, total, q, unit * total)
+    return _lq_mean([(num * total, w) for num, w in scaled], centre, total, q, index.unit * total)
 
 
 def oscillation_bound(tree: Tree, f: FinFunc, q) -> Callable[[Fraction, NormValue], bool]:

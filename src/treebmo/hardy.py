@@ -422,6 +422,7 @@ def _ceil_log2(x: Fraction) -> int:
 
 MAX_FAMILY = 64
 MAX_UNIVERSE = 512
+MAX_CANDIDATES = 10_000  # duality candidates `cli h1 --candidates` may build
 
 
 @dataclass(frozen=True)
@@ -522,6 +523,10 @@ def _gauge_lp(tree: Tree, g: FinFunc, fam: list[CZSet]) -> GaugeResult:
 
 @dataclass(frozen=True)
 class DualityLower:
+    """The duality lower bound: its value, the candidate attaining it (None
+    while it is 0), and `skipped`, the count of zero candidates, which are
+    the candidates of BMO_1 norm 0 (see `h1_duality_lower`)."""
+
     value: Fraction
     witness: FinFunc | None
     skipped: int
@@ -544,7 +549,18 @@ def h1_duality_lower(
 ) -> DualityLower:
     """max over candidates f of |integral(f g)| / BMO_1(f): every pairing is
     bounded by the atomic norm times the BMO norm, so this quotient bounds
-    the atomic norm of g from below, constant-free."""
+    the atomic norm of g from below, constant-free.
+
+    Each candidate is paired with g first, and only a nonzero pairing runs
+    the BMO search: a quotient with a zero numerator is 0 whatever the norm
+    is, and never beats the running best, which starts at 0.  A nonzero
+    finitely supported f has BMO_1(f) > 0: the CZ sets holding a vertex grow
+    without bound, so some CZ set holds a support vertex and more than
+    |supp f| members; f is nonzero at the one and 0 at a member off the
+    support, so it is not constant there and oscillates.  So the zero
+    candidates are exactly those of norm 0, and `skipped` counts them
+    without a search.
+    """
     from .bmo import bmo_norm
 
     if integral(tree, g) != 0:
@@ -553,11 +569,13 @@ def h1_duality_lower(
     witness: FinFunc | None = None
     skipped = 0
     for f in candidates:
-        norm = bmo_norm(tree, f, 1).value
-        if norm.is_zero():
+        if not f:
             skipped += 1
             continue
-        ratio = abs(pairing(tree, f, g)) / norm.as_fraction()
+        paired = abs(pairing(tree, f, g))
+        if not paired:
+            continue
+        ratio = paired / bmo_norm(tree, f, 1).value.as_fraction()
         if ratio > best:
             best, witness = ratio, f
     return DualityLower(best, witness, skipped)

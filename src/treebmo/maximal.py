@@ -39,6 +39,7 @@ from .funcs import (
     Exponent,
     FinFunc,
     NormValue,
+    SupportIndex,
     _frac_to_float,
     lp_power,
     lq_mean,
@@ -57,7 +58,7 @@ from .sets import (
     rooted_bands,
     witness_key,
 )
-from .tree import Tree, Vertex, Window, depth_below, father, level
+from .tree import Tree, Vertex, Window, father, level
 
 
 @dataclass(frozen=True)
@@ -286,9 +287,11 @@ class _Shared:
     witness_key, unique per set), so the best of the wave bests is the best
     over the sets.  A set holding no support vertex oscillates by zero and
     is skipped unevaluated, found from the depths of the support below its
-    root.  A wave of value zero is not offered: while the best is zero the
-    start's degenerate set holds it, and its measure m**level(x) is below
-    that of any CZ set holding x, so it wins every tie at zero.
+    root.  Those depths come from the field's one `SupportIndex` of f,
+    which `sharp_maximal` also passes to `oscillation`.  A wave of value
+    zero is not offered: while the best is zero the start's degenerate set
+    holds it, and its measure m**level(x) is below that of any CZ set
+    holding x, so it wins every tie at zero.
 
     The rest of a climb depends only on its state (root, t, lead), where
     root = ancestor(x, t) and lead is the set holding the best, or None
@@ -308,7 +311,7 @@ class _Shared:
 
     def __init__(self, tree: Tree, f: FinFunc, q: Exponent) -> None:
         self.tree, self.f, self.q = tree, f, q
-        self.support = [v for v, _ in f.items()]
+        self.index = SupportIndex(f)
         self.heights: dict[Vertex, set[int]] = {}
         self.values: dict[CZSet, NormValue] = {}
         self.waves: dict[tuple[Vertex, int], tuple[NormValue, CZSet] | None] = {}
@@ -324,10 +327,8 @@ class _Shared:
         held = self.heights.get(root)
         if held is None:
             held = self.heights[root] = set()
-            for v in self.support:
-                d = depth_below(v, root)
-                if d is not None:
-                    held.update(feasible_heights(d))
+            for _, d in self.index.at(root):
+                held.update(feasible_heights(d))
         return held
 
     def wave(
@@ -468,11 +469,12 @@ def sharp_maximal(
 
     The climb runs through a `_Shared` of its own, or through `_memo`,
     which `sharp_field` passes to every point of a field: each CZ set is
-    then evaluated once per field, and each state of a climb is climbed
-    once (see `_Shared`).
+    then evaluated once per field, through the memo's `SupportIndex`, and
+    each state of a climb is climbed once (see `_Shared`).
     """
     q = Exponent.of(q)
-    return _sharp_at(tree, f, q, x, lambda s: oscillation(tree, f, s, q), _memo)
+    memo = _Shared(tree, f, q) if _memo is None else _memo
+    return _sharp_at(tree, f, q, x, lambda s: oscillation(tree, f, s, q, index=memo.index), memo)
 
 
 def centered_sharp_maximal(tree: Tree, f: FinFunc, q, x: Vertex) -> MaximalResult:

@@ -359,6 +359,19 @@ def cz_in_window(tree: Tree, window: Window, h_max: int) -> list[CZSet]:
     return out
 
 
+def cz_in_window_count(tree: Tree, window: Window, h_max: int, cap: int) -> int:
+    """len(cz_in_window(tree, window, h_max)) in closed form, nothing
+    listed: the m**d roots at depth d carry min(h_max, (depth - d + 1) // 4)
+    heights each.  Each term is at least 1, so the sum stops at the first
+    partial sum past cap, after at most cap + 1 terms, and returns it."""
+    count = 0
+    for d in range(window.depth - 2):
+        count += tree.m**d * min(h_max, (window.depth - d + 1) // 4)
+        if count > cap:
+            break
+    return count
+
+
 def witness_key(tree: Tree, s: TrapezoidLike):
     """Deterministic tie-break order: smaller measure, lower root level, lex word."""
     h = getattr(s, "h", 0)

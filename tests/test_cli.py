@@ -158,6 +158,37 @@ def test_h1(tmp_path, capsys):
     assert Fraction(data["lower"]["value"]) <= Fraction(data["upper"]["value"])
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        # about 2**38 roots: refused from the closed-form count, before any is listed
+        ("--family", "auto:root=1:,depth=40",
+         "family auto:root=1:,depth=40 holds more than the cap of 64 CZ sets"),
+        ("--family", "auto:root=1:,depth=1000000000",
+         "family auto:root=1:,depth=1000000000 holds more than the cap of 64 CZ sets"),
+        ("--candidates", "random:3:-5", "candidate count -5 is not in 0..10000"),
+        # refused before any of the 10**8 candidates is built
+        ("--candidates", "random:3:100000000", "candidate count 100000000 is not in 0..10000"),
+    ],
+)
+def test_h1_over_budget_exit_two(tmp_path, capsys, option, value, message):
+    atom = FinFunc({U: Fraction(1, 3), Vertex(-1, ()): Fraction(-1, 3)})
+    path = write_func(tmp_path, "g.json", atom)
+    code = main(["h1", "--in", path, option, value])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec", ["random:3", "sparse:3:4", "random:x:4", "random:3:many"])
+def test_malformed_candidates_exit_two(tmp_path, capsys, spec):
+    atom = FinFunc({U: Fraction(1, 3), Vertex(-1, ()): Fraction(-1, 3)})
+    path = write_func(tmp_path, "g.json", atom)
+    code = main(["h1", "--in", path, "--candidates", spec])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_hormander(tmp_path, capsys):
     kernel = {
         "window": "root=4:,depth=8",

@@ -6,7 +6,8 @@ to any value, witness, certificate field (`sets_evaluated` included), the
 level-set contents, the order in which `cz_supersets` yields its sets, the
 trapezoids a good/bad split selects, a Hörmander constant's witness set
 and pair, or the optimal vertex the simplex returns for an `h1_lp_gauge`
-LP (its value and pieces) changes a digest.  Refactors of the streams, of
+LP (its value and pieces), or a duality lower bound's value, witness or
+skip count changes a digest.  Refactors of the streams, of
 the set geometry and of the LP's layout must keep every digest.  The
 `approximate_mode` case pins the float outputs of exponents outside
 {1, 2, inf} bit for bit; `suite_reports` pins the property-suite reports at
@@ -25,7 +26,13 @@ from treebmo import bmo, bruteforce, hardy, jsonio, maximal, sets, suites
 from treebmo.bmo import KernelWindow, bmo_norm, hormander_constant
 from treebmo.bruteforce import cz_in_window
 from treebmo.funcs import FinFunc, NormValue, lp_norm, oscillation
-from treebmo.hardy import _ceil_log2, good_bad_split, h1_lp_gauge, telescoping_h1_upper
+from treebmo.hardy import (
+    _ceil_log2,
+    good_bad_split,
+    h1_duality_lower,
+    h1_lp_gauge,
+    telescoping_h1_upper,
+)
 from treebmo.maximal import (
     centered_sharp_maximal,
     hl_maximal,
@@ -70,6 +77,9 @@ KERNEL_ROWS = 12
 # of the same height at its father; seeds whose LPs take 0.5-0.7 s each
 H1_GAUGE_WINDOW = Window(Vertex(2, ()), 2)
 H1_GAUGE_SEEDS = (3, 11, 15, 20)
+# duality lower bounds: zero-integral atom-combo functions on the SETTINGS
+# windows, each against this many sparse candidates drawn on the same window
+DUALITY_CANDIDATES = 3
 # approximate mode: suite reports per (m, q), and exponents outside {1, 2, inf}
 SUITE_EXPONENTS = (Fraction(1), Fraction(3, 2), Fraction(2))
 APPROX_EXPONENTS = (Fraction(3, 2), Fraction(5, 2), Fraction(3))
@@ -195,6 +205,19 @@ def _payload(name: str) -> list:
         for seed in H1_GAUGE_SEEDS:
             g = nonzero_function(tree, H1_GAUGE_WINDOW, seed, "atom-combo")
             out.append(jsonio.report_json(tree, h1_lp_gauge(tree, g, _gauge_family(tree, g))))
+        return out
+    if name == "h1_duality_lower":
+        for tree, window, _ in SETTINGS:
+            for seed in SEEDS:
+                g = nonzero_function(tree, window, seed, "atom-combo")
+                cands = [
+                    nonzero_function(tree, window, seed, "sparse", k)
+                    for k in range(DUALITY_CANDIDATES)
+                ]
+                # a zero candidate, and one that meets g but pairs with it to
+                # the integral of g, which is 0
+                cands += [FinFunc(), FinFunc.indicator(*g.support())]
+                out.append(jsonio.report_json(tree, h1_duality_lower(tree, g, cands)))
         return out
     if name == "good_bad_split":
         for tree, window, _ in SETTINGS:
@@ -339,6 +362,10 @@ DIGESTS = {
     "good_bad_split": (
         "bc3a9baf3797772fad70d5f9f92934eb"
         "557b0123c547877fed4f03b704297258"
+    ),
+    "h1_duality_lower": (
+        "f501501cd029a7a622f6c9669b37ed81"
+        "449352d71ad8f51c0c45e03a1f5e43b9"
     ),
     "h1_lp_gauge": (
         "cf11a6086d662460018913182f3b43d6"

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import treebmo.bruteforce as bf
-from treebmo.funcs import FinFunc, integral, lp_power
+from treebmo import bmo
+from treebmo.bmo import bmo_norm
+from treebmo.funcs import FinFunc, integral, lp_power, pairing
 from treebmo.hardy import (
     MAX_UNIVERSE,
     GaugeResult,
@@ -529,6 +531,40 @@ class TestDuality:
     def test_constant_candidates_skipped(self):
         lower = h1_duality_lower(T2, ATOM, [FinFunc()])
         assert lower.skipped == 1 and lower.value == 0
+
+    def test_nonzero_function_has_positive_bmo_norm(self):
+        # why skipping the zero candidates skips exactly those of norm 0
+        t3 = Tree(3)
+        for tree, window in ((T2, WINDOW), (t3, Window(Vertex(1, ()), 3))):
+            for i in range(12):
+                f = nonzero_function(tree, window, 107, "sparse", i)
+                assert not bmo_norm(tree, f, 1).value.is_zero()
+        # constant on a whole CZ set, so only a larger set sees it oscillate
+        for tree, s in ((T2, CZSet(O, 1)), (T2, CZSet(U, 2)), (t3, CZSet(O, 1))):
+            f = FinFunc.indicator(*members(tree, s))
+            assert bf.oscillation_by_enumeration(tree, f, s, 1).is_zero()
+            assert not bmo_norm(tree, f, 1).value.is_zero()
+
+    def test_bmo_search_only_for_nonzero_pairings(self, monkeypatch):
+        searched = []
+
+        def counted_bmo_norm(tree, f, q):
+            searched.append(f)
+            return bmo_norm(tree, f, q)
+
+        monkeypatch.setattr(bmo, "bmo_norm", counted_bmo_norm)
+        paired = 0
+        for i in range(8):
+            g = nonzero_function(T2, SMALL, 101, "atom-combo", i)
+            cands = [nonzero_function(T2, SMALL, 103, "sparse", 3 * i + k) for k in range(3)]
+            # a zero candidate, and one that meets g and pairs with it to 0
+            cands += [FinFunc(), FinFunc.indicator(*g.support())]
+            searched.clear()
+            lower = h1_duality_lower(T2, g, cands)
+            assert searched == [f for f in cands if pairing(T2, f, g)]
+            assert lower.skipped == 1
+            paired += len(searched)
+        assert paired
 
     def test_sandwich_on_instances(self):
         for i in range(8):

@@ -256,9 +256,9 @@ class TestSharpField:
         calls = Counter()
         points = []
 
-        def counted_oscillation(tree, g, s, q):
+        def counted_oscillation(tree, g, s, q, **kw):
             calls[s] += 1
-            return oscillation(tree, g, s, q)
+            return oscillation(tree, g, s, q, **kw)
 
         def recorded_sharp_maximal(tree, g, q, x, **kw):
             points.append(x)

@@ -22,6 +22,7 @@ from treebmo.sets import (
     covering_family,
     covering_index,
     cz_in_window,
+    cz_in_window_count,
     cz_measure,
     cz_supersets,
     enlargement,
@@ -362,6 +363,22 @@ class TestCzInWindow:
                 for h_max in (1, 2, 3):
                     oracle = cz_in_window_oracle(tree, window, h_max, include_degenerate=False)
                     assert cz_in_window(tree, window, h_max) == oracle
+
+    @pytest.mark.parametrize("tree", [T2, T3])
+    def test_count_is_closed_form(self, tree):
+        for depth in range(9 if tree.m == 2 else 7):
+            window = Window(Vertex(4, ()), depth)
+            for h_max in (1, 2, 3):
+                n = len(cz_in_window(tree, window, h_max))
+                assert cz_in_window_count(tree, window, h_max, n) == n
+                # with a lower cap the sum stops at the first partial sum past it
+                if n:
+                    assert n - 1 < cz_in_window_count(tree, window, h_max, n - 1) <= n
+
+    def test_count_of_a_deep_window_stops_past_the_cap(self):
+        # 2**(10**9) sets: the sum stops after a few terms
+        window = Window(Vertex(1, ()), 10**9)
+        assert 64 < cz_in_window_count(T2, window, 10**8, 64) < 10**40
 
 
 class TestArgMax:
