@@ -18,6 +18,7 @@ from treebmo.sets import CZSet, band_within, cz_supersets, enlargement, member_c
 from treebmo.tree import Tree, Vertex, Window, distance
 
 T2 = Tree(2)
+T3 = Tree(3)
 O = Vertex(0, ())
 U = Vertex(0, (1,))
 V = Vertex(-1, ())
@@ -73,6 +74,67 @@ def _all_pairs_scan(kernel, family):
                 if total > best:
                     best, best_set, best_pair = total, s, (y, z)
     return best, best_set, best_pair
+
+
+# sets of height 5, 6 and 9, whose enlargements reach (h - 1) // 4 = 1, 1
+# and 2 levels past them, on and off the geodesic: (tree, window, family)
+REACH_FAMILIES = [
+    (T2, Window(Vertex(2, ()), 40),
+     [CZSet(O, 5), CZSet(U, 6), CZSet(Vertex(1, ()), 9), CZSet(Vertex(2, (1,)), 9)]),
+    (T3, Window(Vertex(2, ()), 40),
+     [CZSet(O, 9), CZSet(Vertex(1, (2,)), 5), CZSet(Vertex(1, (1, 2)), 6)]),
+]
+
+
+def _reach_kernel(tree, window, family, seed):
+    """Seeded rows on members of the family's sets, each with entries in
+    three of: the set, the ring its enlargement adds above it, the ring
+    below it, and the whole window."""
+    rng = random.Random(f"{seed}:reach")
+
+    def below(root, depth):
+        word = root.word + tuple(rng.randrange(tree.m) for _ in range(depth))
+        return tree.canonicalize(root.anchor, word)
+
+    entries = {}
+    for _ in range(12):
+        s = rng.choice(family)
+        lo, hi = s.depth_range()
+        r = (s.h - 1) // 4
+        y = below(s.root, rng.randint(lo, hi))
+        bands = [(s.root, lo, hi), (s.root, lo - r, lo - 1), (s.root, hi + 1, hi + r),
+                 (window.root, 0, window.depth)]
+        for root, a, b in rng.sample(bands, 3):
+            val = Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 2)))
+            entries[(y, below(root, rng.randint(a, b)))] = val
+    return KernelWindow.from_mapping(entries, window)
+
+
+def _restricted_rows(tree, kernel, s):
+    """The kernel rows of s's members, weighted and restricted to the
+    complement of s's enlargement, by the sets' own membership tests."""
+    grown = enlargement(s)
+    return {
+        y: {x: v * tree.weight(x) for x, v in row.items() if not grown.contains(x)}
+        for y, row in kernel.rows().items()
+        if s.contains(y)
+    }
+
+
+def _pair_total(a, b):
+    return sum((abs(a.get(x, 0) - b.get(x, 0)) for x in a.keys() | b.keys()), Fraction(0))
+
+
+def _membership_scan(tree, kernel, family):
+    """(value, witness set): per set, the largest pair total over its members'
+    restricted rows and the zero row (every set here has more members than
+    the kernel has rows), and the first set reaching the largest."""
+    per_set = []
+    for s in family:
+        rows = [*_restricted_rows(tree, kernel, s).values(), {}]
+        per_set.append(max(_pair_total(a, b) for a in rows for b in rows))
+    best = max(per_set)
+    return best, family[per_set.index(best)]
 
 
 class TestBmoNorm:
@@ -282,6 +344,19 @@ class TestHormander:
             got = hormander_constant(T2, k, family)
             assert got.value.denominator > 1
             assert (got.value, got.witness_set, got.witness_pair) == _all_pairs_scan(k, family)
+
+    @pytest.mark.parametrize("tree, window, family", REACH_FAMILIES)
+    def test_reach_kernels_match_membership_scan(self, tree, window, family):
+        for seed in range(10):
+            k = _reach_kernel(tree, window, family, seed)
+            got = hormander_constant(tree, k, family)
+            assert got.value > 0
+            assert (got.value, got.witness_set) == _membership_scan(tree, k, family)
+            # the witness pair are members whose restricted rows reach the value
+            y, z = got.witness_pair
+            assert got.witness_set.contains(y) and got.witness_set.contains(z)
+            rows = _restricted_rows(tree, k, got.witness_set)
+            assert _pair_total(rows.get(y, {}), rows.get(z, {})) == got.value
 
     def test_far_rows_change_nothing(self):
         # a row a billion levels down, outside the window and then inside a

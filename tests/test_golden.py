@@ -7,7 +7,8 @@ level-set contents, the order in which `cz_supersets` yields its sets, the
 trapezoids a good/bad split selects, a Hörmander constant's witness set
 and pair, or the optimal vertex the simplex returns for an `h1_lp_gauge`
 LP (its value and pieces), or a duality lower bound's value, witness or
-skip count changes a digest.  Refactors of the streams, of
+skip count changes a digest.  `hormander_reach` pins Hörmander constants
+over sets tall enough (h >= 5) that the enlargement is larger than the set.  Refactors of the streams, of
 the set geometry and of the LP's layout must keep every digest.  The
 `approximate_mode` case pins the float outputs of exponents outside
 {1, 2, inf} bit for bit; `suite_reports` pins the property-suite reports at
@@ -72,6 +73,24 @@ HORMANDER = (
 )
 HORMANDER_SEEDS = range(8)
 KERNEL_ROWS = 12
+# Hörmander constants over sets of height 5, 6 and 9, whose enlargements
+# reach (h - 1) // 4 = 1, 1 and 2 levels past the set on either side:
+# (tree, kernel window, family), roots on and off the geodesic
+HORMANDER_REACH = (
+    (
+        Tree(2),
+        Window(Vertex(2, ()), 40),
+        (CZSet(Vertex(0, ()), 5), CZSet(Vertex(0, (1,)), 6), CZSet(Vertex(1, ()), 9),
+         CZSet(Vertex(2, (1,)), 9)),
+    ),
+    (
+        Tree(3),
+        Window(Vertex(2, ()), 40),
+        (CZSet(Vertex(0, ()), 5), CZSet(Vertex(1, (2,)), 6), CZSet(Vertex(2, (1,)), 9),
+         CZSet(Vertex(1, ()), 6)),
+    ),
+)
+REACH_ROWS = 16
 # LP gauges: zero-integral atom-combo functions on H1_GAUGE_WINDOW over the
 # two-set family h1-gauge builds, the smallest enclosing CZ set and the set
 # of the same height at its father; seeds whose LPs take 0.5-0.7 s each
@@ -110,6 +129,44 @@ def _tie_kernel(tree, window, seed):
         elif shape == "local":
             xs = [x for x in (y, *tree.children(y)) if window.contains(x)]
             row = {x: Fraction(rng.randint(1, 3)) for x in xs}
+        for x, val in row.items():
+            entries[(y, x)] = val
+    return KernelWindow.from_mapping(entries, window)
+
+
+def _reach_kernel(tree, window, family, seed):
+    """Seeded rows, most on members of the family's sets.  A row's entries
+    lie in a set, in the ring its enlargement adds above or below it, or
+    anywhere in the window; some rows copy the previous one, so that pairs
+    whose rows differ only inside an enlargement tie."""
+    rng = random.Random(f"{seed}:reach-kernel")
+
+    def below(root, depth):
+        word = root.word + tuple(rng.randrange(tree.m) for _ in range(depth))
+        return tree.canonicalize(root.anchor, word)
+
+    entries = {}
+    row = {}
+    for _ in range(REACH_ROWS):
+        s = rng.choice(family)
+        lo, hi = s.depth_range()
+        r = (s.h - 1) // 4
+        if rng.random() < 0.8:
+            y = below(s.root, rng.randint(lo, hi))
+        else:
+            y = below(window.root, rng.randint(0, window.depth))
+        if not row or rng.random() < 0.6:
+            bands = (
+                (s.root, lo, hi),
+                (s.root, lo - r, lo - 1),
+                (s.root, hi + 1, hi + r),
+                (window.root, 0, window.depth),
+            )
+            row = {}
+            for _ in range(rng.randint(1, 4)):
+                root, a, b = rng.choice(bands)
+                val = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+                row[below(root, rng.randint(a, b))] = val
         for x, val in row.items():
             entries[(y, x)] = val
     return KernelWindow.from_mapping(entries, window)
@@ -248,6 +305,12 @@ def _payload(name: str) -> list:
             for k in [diagonal, *kernels]:
                 out.append(jsonio.hormander_json(tree, hormander_constant(tree, k, family)))
         return out
+    if name == "hormander_reach":
+        for tree, window, family in HORMANDER_REACH:
+            for seed in HORMANDER_SEEDS:
+                k = _reach_kernel(tree, window, family, seed)
+                out.append(jsonio.hormander_json(tree, hormander_constant(tree, k, family)))
+        return out
     if name == "sharp_field":
         for (tree, window, _), field in zip(SETTINGS, FIELD_WINDOWS):
             for kind in KINDS:
@@ -374,6 +437,10 @@ DIGESTS = {
     "hormander_constant": (
         "e434faf97aae443b0583d284bc068f5c"
         "4404ddbb39107b859d9f359d9dc98ca4"
+    ),
+    "hormander_reach": (
+        "92ce5146bba9c8301b14ffda45fe2581"
+        "760a9d28b97457691532f466387a3696"
     ),
     "sharp_field": (
         "7482c0503175f52e68bf09f5aa9935da"
