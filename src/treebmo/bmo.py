@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .funcs import Exponent, FinFunc, NormValue, SupportIndex, oscillation, pairing
 from .maximal import CutoffCertificate, sup_over_cz
-from .sets import CZSet, band_within, enlargement, ordered_members
-from .tree import Tree, Vertex, Window, ancestor, level
+from .sets import CZSet, enlargement_depth_range, ordered_members
+from .tree import Tree, Vertex, Window, depth_below, level
 
 
 @dataclass(frozen=True)
@@ -141,63 +141,63 @@ def hormander_constant(
     zero-zero pairs vanish, so visiting these pairs in (y, z) member order
     with a strict > gives the value and witness of a scan of all pairs.
 
-    The arithmetic is in integers.  Each set's integer depth bands are
-    found once, so membership in the set or its enlargement is a level
-    difference checked against a band, then one ancestor compared with the
-    root.  Each entry K(y, x) * mu({x}) is kept as an integer over one
-    common denominator, so pair totals add and compare as integers, and
-    the value is formed once at the end.
+    One call runs in integers: each entry K(y, x) * mu({x}) is an integer
+    over one unit, a common multiple of val.denominator * m**(-level(x)),
+    and the value is formed once at the end.  Membership of a row y in S,
+    and of an entry x in S's enlargement (its band widened by (h - 1) // 4),
+    is one `depth_below` from the coordinates, checked against the band.  A
+    pair whose two restricted rows have L1 norms summing to at most the
+    running best cannot pass it and is skipped.
     """
     win = kernel.window
     for x in kernel.x_support():
         if not win.contains(x):
             raise DomainError(f"kernel x-support vertex {x} escapes the window")
-    weighted = []
-    unit = 1  # not lcm(*generator), as in funcs.SupportIndex
-    for y, x, val in kernel.entries:
-        w = val * tree.weight(x)
-        weighted.append((y, x, w))
-        unit = math.lcm(unit, w.denominator)
+    m = tree.m
+    unit = math.lcm(*(v.denominator * m ** max(0, -level(x)) for _, x, v in kernel.entries))
     rows: dict[Vertex, dict[Vertex, int]] = {}
-    for y, x, w in weighted:
-        rows.setdefault(y, {})[x] = w.numerator * (unit // w.denominator)
+    for y, x, val in kernel.entries:
+        if val:
+            lvl = level(x)
+            w = val.numerator * (unit // val.denominator)
+            rows.setdefault(y, {})[x] = w * m**lvl if lvl >= 0 else w // m**-lvl
     best = 0
     best_set: CZSet | None = None
     best_pair: tuple[Vertex, Vertex] | None = None
     for s in family:
-        grown = enlargement(s)
-        if not band_within(s, win):
-            raise DomainError(f"{s} escapes the declared window")
-        if not band_within(grown, win):
-            raise DomainError(f"enlargement of {s} escapes the declared window")
         root = s.root
-        top = level(root)
         lo, hi = s.depth_range()
-        g_lo, g_hi = grown.depth_range()
+        g_lo, g_hi = enlargement_depth_range(s)
+        # both bands start at depth >= 0 below the root: only their bottoms can escape
+        gap = depth_below(root, win.root)
+        if gap is None or gap + hi > win.depth:
+            raise DomainError(f"{s} escapes the declared window")
+        if gap + g_hi > win.depth:
+            raise DomainError(f"enlargement of {s} escapes the declared window")
         # each member's kernel row off the enlargement, where it is nonzero
         restricted = {}
         for y, row in rows.items():
-            d = top - level(y)
-            if lo <= d <= hi and ancestor(y, d) == root:
+            d = depth_below(y, root)
+            if d is not None and lo <= d <= hi:
                 r = {}
                 for x, w in row.items():
-                    dx = top - level(x)
-                    if w and not (g_lo <= dx <= g_hi and ancestor(x, dx) == root):
+                    dx = depth_below(x, root)
+                    if dx is None or not g_lo <= dx <= g_hi:
                         r[x] = w
                 if r:
                     restricted[y] = r
         if not restricted:
             continue
         zero = next((v for v in ordered_members(tree, s) if v not in restricted), None)
+        if zero is not None:
+            restricted[zero] = {}
         # Vertex tuples order as (anchor, word), the member order of the pairs
-        order = sorted(restricted if zero is None else [*restricted, zero])
-        empty: dict[Vertex, int] = {}
-        for i, y in enumerate(order):
-            row_y = restricted.get(y, empty)
-            for z in order[i + 1 :]:
-                row_z = restricted.get(z, empty)
-                keys = row_y.keys() | row_z.keys()
-                total = sum(abs(row_y.get(x, 0) - row_z.get(x, 0)) for x in keys)
-                if total > best:
-                    best, best_set, best_pair = total, s, (y, z)
+        order = sorted((y, r, sum(map(abs, r.values()))) for y, r in restricted.items())
+        for i, (y, row_y, norm_y) in enumerate(order):
+            for z, row_z, norm_z in order[i + 1 :]:
+                if norm_y + norm_z > best:
+                    keys = row_y.keys() | row_z.keys()
+                    total = sum(abs(row_y.get(x, 0) - row_z.get(x, 0)) for x in keys)
+                    if total > best:
+                        best, best_set, best_pair = total, s, (y, z)
     return HormanderResult(Fraction(best, unit), best_set, best_pair, len(family))

@@ -15,7 +15,14 @@ from fractions import Fraction
 from . import jsonio
 from .bmo import DomainError, bmo_norm, hormander_constant
 from .funcs import FinFunc
-from .hardy import MAX_CANDIDATES, MAX_FAMILY, good_bad_split, h1_estimate, telescoping_h1_upper
+from .hardy import (
+    MAX_CANDIDATES,
+    MAX_FAMILY,
+    MAX_HORMANDER_FAMILY,
+    good_bad_split,
+    h1_estimate,
+    telescoping_h1_upper,
+)
 from .maximal import hl_maximal, sharp_field
 from .randgen import RunConfig, nonzero_function
 from .sets import (
@@ -254,15 +261,17 @@ def dispatch(args) -> tuple[object, int]:
     if cmd == "h1":
         g = _load_func(tree, args.infile)
         window = _family_window(tree, args)
-        family = _auto_family(tree, window)
+        family = _auto_family(tree, window, max(1, (window.depth + 1) // 4), MAX_FAMILY)
         candidates = _candidates(tree, window, args.candidates)
         return h1_estimate(tree, g, family, candidates), 0
 
     if cmd == "hormander":
+        if args.h_max < 1:
+            raise ValueError(f"--h-max {args.h_max} is below 1")
         with open(args.kernel) as fh:
             kernel = jsonio.parse_kernel(tree, json.load(fh))
         window = _family_window(tree, args)
-        family = cz_in_window(tree, window, args.h_max)
+        family = _auto_family(tree, window, args.h_max, MAX_HORMANDER_FAMILY)
         return hormander_constant(tree, kernel, family), 0
 
     if cmd in ("check", "constants"):
@@ -284,12 +293,11 @@ def _family_window(tree: Tree, args) -> Window:
     return parse_window(tree, spec[len("auto:") :])
 
 
-def _auto_family(tree: Tree, window: Window):
-    """The `h1` family of the window, refused before anything is listed if
-    it holds more than the gauge's MAX_FAMILY sets."""
-    h_max = max(1, (window.depth + 1) // 4)
-    if cz_in_window_count(tree, window, h_max, MAX_FAMILY) > MAX_FAMILY:
-        raise ValueError(f"family auto:{window} holds more than the cap of {MAX_FAMILY} CZ sets")
+def _auto_family(tree: Tree, window: Window, h_max: int, cap: int):
+    """The CZ sets of height <= h_max in the window, refused from their
+    closed-form count, before any is listed, if they are more than cap."""
+    if cz_in_window_count(tree, window, h_max, cap) > cap:
+        raise ValueError(f"family auto:{window} holds more than the cap of {cap} CZ sets")
     return cz_in_window(tree, window, h_max)
 
 

@@ -423,6 +423,7 @@ def _ceil_log2(x: Fraction) -> int:
 MAX_FAMILY = 64
 MAX_UNIVERSE = 512
 MAX_CANDIDATES = 10_000  # duality candidates `cli h1 --candidates` may build
+MAX_HORMANDER_FAMILY = 10_000  # CZ sets `cli hormander --family auto:` may scan
 
 
 @dataclass(frozen=True)

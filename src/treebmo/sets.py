@@ -191,13 +191,16 @@ def enlargement(s: CZSet) -> GeneralTrapezoid:
     distance below h/4.  The brute-force distance scan in the test suite
     confirms this band on explicit windows.
     """
-    lo, hi = s.depth_range()
-    reach = 0 if s.degenerate else (s.h - 1) // 4
-    return GeneralTrapezoid(s.root, lo - reach, hi + reach + 1)
+    lo, hi = enlargement_depth_range(s)
+    return GeneralTrapezoid(s.root, lo, hi + 1)
 
 
 def enlargement_depth_range(s: CZSet) -> tuple[int, int]:
-    return enlargement(s).depth_range()
+    """The enlargement's inclusive depth band, in integers: s's band widened
+    by (h - 1) // 4 on both sides."""
+    lo, hi = s.depth_range()
+    reach = 0 if s.degenerate else (s.h - 1) // 4
+    return lo - reach, hi + reach
 
 
 def enlargement_measure(tree: Tree, s: CZSet) -> Fraction:

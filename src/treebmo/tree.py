@@ -210,11 +210,20 @@ def join(x: Vertex, y: Vertex) -> Vertex:
 
 
 def depth_below(x: Vertex, root: Vertex) -> int | None:
-    """level(root) - level(x) if x lies below root, else None."""
-    d = level(root) - level(x)
-    if d < 0 or ancestor(x, d) != root:
+    """level(root) - level(x) if x lies below root, else None.
+
+    Read from the coordinates, with no ancestor built: below a root off the
+    geodesic lie the vertices of its anchor whose words extend its word,
+    and below a geodesic root the vertices whose anchor is at most its own.
+    """
+    w = root.word
+    if w:
+        if x.anchor != root.anchor or x.word[: len(w)] != w:
+            return None
+        return len(x.word) - len(w)
+    if x.anchor > root.anchor:
         return None
-    return d
+    return root.anchor - level(x)
 
 
 def vertex_sort_key(v: Vertex):

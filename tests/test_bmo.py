@@ -352,7 +352,7 @@ class TestHormander:
             got = hormander_constant(tree, k, family)
             assert got.value > 0
             assert (got.value, got.witness_set) == _membership_scan(tree, k, family)
-            # the witness pair are members whose restricted rows reach the value
+            # the witness pair: two members whose restricted rows reach the value
             y, z = got.witness_pair
             assert got.witness_set.contains(y) and got.witness_set.contains(z)
             rows = _restricted_rows(tree, k, got.witness_set)
@@ -409,6 +409,35 @@ class TestHormander:
             got = hormander_constant(T2, k, [s])
             assert (got.value, got.witness_pair) == (value, pair)
             assert (got.value, got.witness_set, got.witness_pair) == _all_pairs_scan(k, [s])
+
+    def test_empty_family_gives_zero(self):
+        k = KernelWindow.from_mapping({(U, Vertex(1, (1,))): Fraction(1)}, self.window())
+        r = hormander_constant(T2, k, [])
+        assert (r.value, r.witness_set, r.witness_pair, r.sets_checked) == (0, None, None, 0)
+
+    def test_repeated_set_keeps_the_first_copy(self):
+        k = KernelWindow.from_mapping({(U, Vertex(1, (1,))): Fraction(1)}, self.window())
+        first, again = CZSet(O, 1), CZSet(O, 1)
+        one = hormander_constant(T2, k, [first])
+        two = hormander_constant(T2, k, [first, again])
+        assert one.value == 1
+        assert (two.value, two.witness_pair) == (one.value, one.witness_pair)
+        assert two.witness_set is first and two.sets_checked == 2
+
+    @pytest.mark.parametrize(
+        "third, message",
+        [
+            # rooted above the window's root
+            (CZSet(Vertex(1, ()), 1), "cz root=1: h=1 escapes the declared window"),
+            # inside the window, but its enlargement reaches depth 20
+            (CZSet(O, 5), "enlargement of cz root=0: h=5 escapes the declared window"),
+        ],
+    )
+    def test_first_escaping_set_is_named(self, third, message):
+        k = KernelWindow.from_mapping({(U, Vertex(0, (1, 1))): Fraction(1)}, Window(O, 19))
+        with pytest.raises(DomainError) as err:
+            hormander_constant(T2, k, [CZSet(O, 1), CZSet(U, 1), third])
+        assert str(err.value) == message
 
     def test_escaping_kernel_rejected(self):
         win = Window(Vertex(1, ()), 2)

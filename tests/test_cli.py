@@ -229,6 +229,7 @@ def test_hormander_set_of_a_million_members(tmp_path, capsys, monkeypatch):
         return [CZSet(window.root, h_max)]
 
     monkeypatch.setattr(cli, "cz_in_window", one_set)
+    monkeypatch.setattr(cli, "cz_in_window_count", lambda tree, window, h_max, cap: 1)
     path = tmp_path / "k.json"
     entries = [{"y": "0:1111", "x": "0:1", "val": "1"}]
     path.write_text(json.dumps({"window": "root=0:,depth=21", "entries": entries}))
@@ -236,6 +237,25 @@ def test_hormander_set_of_a_million_members(tmp_path, capsys, monkeypatch):
                      "--family", "auto:root=0:,depth=21")
     assert code == 0
     assert (data["value"], data["witness_pair"]) == ("1/2", ["-19:", "0:1111"])
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        # about 2**38 roots: refused from the closed-form count, before any is listed
+        (["--h-max", "1", "--family", "auto:root=1:,depth=40"],
+         "family auto:root=1:,depth=40 holds more than the cap of 10000 CZ sets"),
+        (["--h-max", "0", "--family", "auto:root=4:,depth=8"], "--h-max 0 is below 1"),
+        (["--h-max", "-3"], "--h-max -3 is below 1"),
+    ],
+)
+def test_hormander_refusals_exit_two(tmp_path, capsys, options, message):
+    path = tmp_path / "k.json"
+    entries = [{"y": "0:1", "x": "0:1", "val": "1"}]
+    path.write_text(json.dumps({"window": "root=4:,depth=8", "entries": entries}))
+    code = main(["hormander", "--kernel", str(path), *options])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_check_geometry_exit_zero(capsys):

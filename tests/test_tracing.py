@@ -43,3 +43,6 @@ def test_tracer_intercepts_each_workload(tracing):
             names = [span[0] for span in tracer.spans]
             callers = {names[span[3]] for span in tracer.spans if span[0] == "funcs.oscillation"}
             assert {"bmo.bmo_norm", "maximal.sharp_maximal"} <= callers
+            # the Hörmander constant runs through its patched name too
+            assert "bmo.hormander" in names
+            assert metrics["bmo.hormander.kernel_rows"] == 24

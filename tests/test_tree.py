@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,41 @@ class TestOrderAndDistance:
                 if depth_below(u, ORIGIN) == r
             ]
             assert len(below) == tree.m**r
+
+    @pytest.mark.parametrize("tree", [T2, T3])
+    def test_depth_below_matches_ancestor_definition(self, tree):
+        # depth_below reads membership from the coordinates; its definition
+        # is the level gap d >= 0 with ancestor(x, d) == root
+        def by_ancestor(x, root):
+            d = level(root) - level(x)
+            return d if d >= 0 and ancestor(x, d) == root else None
+
+        rng = random.Random(f"{tree.m}:depth-below")
+
+        def digits(n):
+            return tuple(rng.randrange(tree.m) for _ in range(n))
+
+        far = 10**9
+        seen = set()
+        for anchor in (0, 3, -5, far, -far):
+            for _ in range(60):
+                root = tree.canonicalize(anchor, digits(rng.randint(0, 4)))
+                up = ancestor(root, rng.randint(1, 6))
+                xs = [
+                    root,
+                    up,  # above the root
+                    tree.canonicalize(root.anchor, root.word + digits(rng.randint(1, 5))),
+                    tree.canonicalize(up.anchor, up.word + digits(rng.randint(1, 9))),
+                    tree.canonicalize(root.anchor + rng.randint(-3, 3), digits(rng.randint(0, 6))),
+                    tree.canonicalize(rng.choice((far, -far)), digits(rng.randint(0, 3))),
+                ]
+                for x in xs:
+                    d = depth_below(x, root)
+                    assert d == by_ancestor(x, root), (x, root)
+                    seen.add((bool(root.word), d is None, d == 0))
+        # roots on and off the geodesic, each with x outside, at and strictly below it
+        assert seen == {(g, out, at) for g in (False, True) for out, at in
+                        ((True, False), (False, True), (False, False))}
 
     def test_join(self):
         u = Vertex(0, (1,))
