@@ -5,10 +5,10 @@ The BMO_q norm of a finitely supported function is an exact supremum: sets
 disjoint from the support oscillate by zero, so it is the sharp maximal
 search of `maximal.sup_over_cz` run from every support vertex at once.
 Candidates come from the shared stream `sets.rooted_bands` along the
-father chains of the support, and each chain stops once the a-priori
-oscillation bound at its minimal remaining measure cannot beat the running
-best.  Functions represent their BMO class directly; the quotient by
-constants shows up only as tested shift invariance.
+father chains of the support, and each chain stops once `maximal.sharp_rule`,
+the a-priori oscillation bound at its least measure, cannot beat the
+running best.  Functions represent their BMO class directly; the quotient
+by constants shows up only as tested shift invariance.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .funcs import Exponent, FinFunc, NormValue, SupportIndex, oscillation, pairing
-from .maximal import CutoffCertificate, sup_over_cz
+from .maximal import CutoffCertificate, sharp_rule, sup_over_cz
 from .sets import CZSet, enlargement_depth_range, ordered_members
 from .tree import Tree, Vertex, Window, depth_below, level
 
@@ -54,8 +54,9 @@ def bmo_norm(tree: Tree, f: FinFunc, q) -> BmoReport:
             0,
         )
     index = SupportIndex(f)
+    rule = sharp_rule(tree, f, q)
     best, certificate = sup_over_cz(
-        tree, f, q, f.support(), lambda s: oscillation(tree, f, s, q, index=index)
+        tree, rule, f.support(), lambda s: oscillation(tree, f, s, q, index=index)
     )
     evaluated = certificate.sets_evaluated
     return BmoReport(best.value, q, best.witness, certificate, evaluated)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .bmo import DomainError, bmo_norm, hormander_constant
@@ -39,6 +38,8 @@ from .tree import (
     Tree,
     Vertex,
     Window,
+    check_power,
+    level,
     parse_vertex,
     parse_window,
 )
@@ -165,9 +166,9 @@ def _config(args, size: int | None = None) -> RunConfig:
     return RunConfig(
         m=args.m,
         window=window,
-        q=Fraction(getattr(args, "q", "1")),
-        p=Fraction(getattr(args, "p", "2")),
-        p0=Fraction(getattr(args, "p0", "3/2")),
+        q=jsonio.parse_frac(getattr(args, "q", "1")),
+        p=jsonio.parse_frac(getattr(args, "p", "2")),
+        p0=jsonio.parse_frac(getattr(args, "p0", "3/2")),
         seed=args.seed,
         size=size if size is not None else 25,
     )
@@ -179,11 +180,17 @@ def _load_func(tree: Tree, path: str) -> FinFunc:
 
 
 def _points(tree: Tree, args) -> list[Vertex]:
+    """The points of --at or --window, refused at a level whose weight is
+    unprintable: a climb from there runs as many waves as that level is far."""
     if args.at is not None:
-        return [parse_vertex(tree, args.at)]
-    if getattr(args, "window_override", None) is not None:
-        return parse_window(tree, args.window_override).members(tree)
-    raise ValueError("give --at <vertex> or --window <spec>")
+        points = [parse_vertex(tree, args.at)]
+    elif getattr(args, "window_override", None) is not None:
+        points = parse_window(tree, args.window_override).members(tree)
+    else:
+        raise ValueError("give --at <vertex> or --window <spec>")
+    for x in points:
+        check_power(tree.m, level(x))
+    return points
 
 
 def dispatch(args) -> tuple[object, int]:
@@ -236,16 +243,17 @@ def dispatch(args) -> tuple[object, int]:
         if args.n is not None:
             return {"n": args.n, "set": covering_family(args.n)}, 0
         v = parse_vertex(tree, args.vertex)
+        check_power(tree.m, level(v))  # the index scan runs about |level(v)| steps
         n = covering_index(v)
         return {"vertex": v, "index": n, "set": covering_family(n)}, 0
 
     if cmd == "bmo-norm":
         f = _load_func(tree, args.infile)
-        return bmo_norm(tree, f, Fraction(args.q)), 0
+        return bmo_norm(tree, f, jsonio.parse_frac(args.q)), 0
 
     if cmd == "sharp":
         f = _load_func(tree, args.infile)
-        return sharp_field(tree, f, Fraction(args.q), _points(tree, args)), 0
+        return sharp_field(tree, f, jsonio.parse_frac(args.q), _points(tree, args)), 0
 
     if cmd == "maximal":
         phi = _load_func(tree, args.infile)
@@ -253,7 +261,7 @@ def dispatch(args) -> tuple[object, int]:
 
     if cmd == "decompose":
         g = _load_func(tree, args.infile)
-        q = Fraction(args.q)
+        q = jsonio.parse_frac(args.q)
         if args.all:
             return telescoping_h1_upper(tree, g, q), 0
         return good_bad_split(tree, g, q, args.j), 0

@@ -46,7 +46,7 @@ from .sets import (
     witness_key,
 )
 from .simplex import InfeasibleError, solve_lp
-from .tree import Tree, Vertex, ancestor, father, level
+from .tree import Tree, Vertex, ancestor, check_power, father, level
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +214,25 @@ MAX_THRESHOLD_BITS = 14_284
 
 def _integer_power(g: FinFunc, q) -> tuple[int, FinFunc]:
     """(q, |g|**q) for an integer exponent q >= 2, the exponents for which
-    |g|**q and the thresholds 2**(jq) stay rational."""
+    |g|**q and the thresholds 2**(jq) stay rational.  A power too long to
+    print is refused before it is formed."""
     qi = Exponent.of(q).integer()
     if qi is None or qi < 2:
         raise ValueError("good/bad splits require an integer exponent q >= 2")
+    for _, val in g.items():
+        for n in (abs(val.numerator), val.denominator):
+            if n > 1:
+                check_power(n, qi)
     return qi, FinFunc({v: abs(val) ** qi for v, val in g.items()})
+
+
+def _threshold(j: int, qi: int) -> Fraction:
+    """2**(jq), refused before it is formed when |jq| passes MAX_THRESHOLD_BITS."""
+    if abs(j * qi) > MAX_THRESHOLD_BITS:
+        raise ValueError(
+            f"threshold 2**{j * qi} is too large to print: |jq| exceeds {MAX_THRESHOLD_BITS}"
+        )
+    return Fraction(2) ** (j * qi)
 
 
 def good_bad_split(tree: Tree, g: FinFunc, q, j: int) -> GoodBadSplit:
@@ -232,11 +246,7 @@ def good_bad_split(tree: Tree, g: FinFunc, q, j: int) -> GoodBadSplit:
     2**(jq) is formed.
     """
     qi, phi = _integer_power(g, q)
-    if abs(j * qi) > MAX_THRESHOLD_BITS:
-        raise ValueError(
-            f"threshold 2**{j * qi} is too large to print: |jq| exceeds {MAX_THRESHOLD_BITS}"
-        )
-    lam = Fraction(2) ** (j * qi)
+    lam = _threshold(j, qi)
     scale = Fraction(2) ** j
     omega, certificate = maximal_level_set(tree, phi, lam)
     selected = select_maximal_disjoint(
@@ -376,7 +386,7 @@ def telescoping_h1_upper(tree: Tree, g: FinFunc, q) -> TelescopingResult:
         hl_maximal(tree, phi, u).value.as_fraction() for u in g.support()
     )
     j_min = j_max
-    while Fraction(2) ** (j_min * qi) >= min_m:
+    while _threshold(j_min, qi) >= min_m:
         j_min -= 1
     splits = [good_bad_split(tree, g, qi, j) for j in range(j_min, j_max)]
     base = splits[0]

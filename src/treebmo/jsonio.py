@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import math
-import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -29,7 +28,7 @@ from .hardy import (
 )
 from .maximal import CutoffCertificate, MaximalResult
 from .sets import AdmissibleTrapezoid, CZSet, set_measure
-from .tree import Tree, Vertex, format_vertex, parse_vertex, parse_window
+from .tree import Tree, Vertex, check_power, format_vertex, parse_vertex, parse_window, unprintable
 
 APPROX_PRECISION = 1e-12
 
@@ -39,14 +38,18 @@ def frac_str(x: Fraction) -> str:
         return str(x)
     except ValueError:
         # CPython prints no integer of more than sys.get_int_max_str_digits() digits
-        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-        raise ValueError(
-            f"a rational of {bits} bits is too large to print: its numerator "
-            f"or denominator passes {sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise unprintable(max(x.numerator.bit_length(), x.denominator.bit_length())) from None
 
 
 def parse_frac(text: str) -> Fraction:
+    """A rational from "p/q" or decimal text; an exponent whose power of 10
+    is too long to print is refused before Fraction forms that power."""
+    _, e, exp = str(text).lower().partition("e")
+    try:
+        power = int(exp) if e else 0
+    except ValueError:  # no integer exponent: Fraction rejects the text below
+        power = 0
+    check_power(10, power)
     try:
         return Fraction(str(text))
     except ZeroDivisionError:

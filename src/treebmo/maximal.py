@@ -9,12 +9,12 @@ Two suprema over infinite families are computed here:
 
 Both climb father chains, keep the best value in a `sets.ArgMax`, and
 stop a chain once an a-priori bound shows that any set rooted higher
-cannot beat the current best.  The stopping rule is part of the public
-contract: every result carries a certificate stating the measure
-threshold past which candidates were discarded and the inequality that
-justifies it.  `bmo.bmo_norm` runs the set-by-set CZ search,
-`sup_over_cz`, from every support vertex.  The test suite replays these
-computations against brute-force oracles with no cutoff.
+cannot beat the current best.  That bound is a `StopRule` (`hl_rule`,
+`sharp_rule`), which is part of the public contract: every result carries
+its certificate, stating the measure threshold past which candidates were
+discarded and the inequality that justifies it.  `bmo.bmo_norm` runs the
+set-by-set CZ search, `sup_over_cz`, from every support vertex.  The test
+suite replays these computations against brute-force oracles with no cutoff.
 
 `sharp_field` climbs from many points of a window through one `_Shared`,
 which evaluates each CZ set holding a support vertex once, finds each
@@ -31,7 +31,6 @@ through a `_Shared` of its own; `sup_over_cz` is the set-by-set search of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -58,7 +57,7 @@ from .sets import (
     rooted_bands,
     witness_key,
 )
-from .tree import Tree, Vertex, Window, father, level
+from .tree import MAX_LISTED, Tree, Vertex, Window, father, level
 
 
 @dataclass(frozen=True)
@@ -88,17 +87,74 @@ def _trivial_certificate(rule: str, n: int = 0) -> CutoffCertificate:
     return CutoffCertificate(rule, None, None, n)
 
 
+@dataclass(frozen=True)
+class StopRule:
+    """The a-priori bound that ends a climb, named in its certificates:
+    holds(mu, best) is True when no candidate of measure >= mu can beat
+    best, least(lvl, t) is the least measure of a candidate rooted t levels
+    above a start at level lvl, and bound(mu), if given, caps them all."""
+
+    name: str
+    least: Callable[[int, int], Fraction]
+    holds: Callable[[Fraction, Fraction | NormValue], bool]
+    bound: Callable[[Fraction], Fraction] | None = None
+
+    def certificate(self, floor: Fraction | None, evaluated: int) -> CutoffCertificate:
+        at_floor = None if floor is None or self.bound is None else self.bound(floor)
+        return CutoffCertificate(self.name, floor, at_floor, evaluated)
+
+
+def hl_rule(tree: Tree, phi: FinFunc) -> StopRule:
+    """Averages of phi >= 0 over admissible trapezoids are at most its
+    total mass over their measure.  A trapezoid rooted t levels above a
+    start holds it at depth t < 2h, so its height h is at least t // 2 + 1."""
+    l1 = lp_power(tree, phi, 1)
+    return StopRule(
+        "average <= total_mass / measure",
+        lambda lvl, t: (t // 2 + 1) * tree.level_weight(lvl + t),
+        lambda mu, best: mu * best > l1,
+        lambda mu: l1 / mu,
+    )
+
+
+def sharp_rule(tree: Tree, f: FinFunc, q) -> StopRule:
+    """q-oscillations of f over CZ sets, capped by `funcs.oscillation_bound`.
+    The least CZ set rooted t levels above a start has height (t + 4) // 4."""
+
+    def least(lvl: int, t: int) -> Fraction:
+        h0 = (t + 4) // 4
+        return (4 * h0 - (h0 + 1) // 2) * tree.level_weight(lvl + t)
+
+    name = "oscillation <= (||f||_q^q/measure)^(1/q) + ||f||_1/measure"
+    return StopRule(name, least, oscillation_bound(tree, f, q))
+
+
+class _Cutoff:
+    """The keep of a `sets.rooted_bands` search for a largest value: it stops
+    a chain where the rule holds against a nonzero running best (a zero best
+    is the start's degenerate set), and floor is the least stop measure."""
+
+    def __init__(self, rule: StopRule, best: ArgMax) -> None:
+        self.rule, self.best, self.floor = rule, best, None
+
+    def __call__(self, u: Vertex, t: int) -> bool:
+        value = self.best.value
+        # a Fraction best is falsy at zero; a NormValue is always truthy
+        if value.is_zero() if isinstance(value, NormValue) else not value:
+            return True
+        mu = self.rule.least(level(u), t)
+        if not self.rule.holds(mu, value):
+            return True
+        self.floor = mu if self.floor is None else min(self.floor, mu)
+        return False
+
+    def certificate(self, evaluated: int) -> CutoffCertificate:
+        return self.rule.certificate(self.floor, evaluated)
+
+
 # ---------------------------------------------------------------------------
 # Hardy-Littlewood-type maximal function over admissible trapezoids
 # ---------------------------------------------------------------------------
-
-
-HL_RULE = "average <= total_mass / measure"
-
-
-def _trapezoid_mu_min(tree: Tree, start_level: int, t: int) -> Fraction:
-    """Least measure of a trapezoid rooted t levels above the start."""
-    return (t // 2 + 1) * tree.level_weight(start_level + t)
 
 
 def _trapezoid_masses(
@@ -151,24 +207,13 @@ def hl_maximal(tree: Tree, phi: FinFunc, x: Vertex) -> MaximalResult:
         return MaximalResult(
             NormValue.zero(), None, _trivial_certificate("zero function")
         )
-    l1 = lp_power(tree, phi, 1)
     best = ArgMax(tree, phi.at(x), AdmissibleTrapezoid(x, 1, degenerate=True))
+    keep = _Cutoff(hl_rule(tree, phi), best)
     evaluated = 1
-    floor: Fraction | None = None
-
-    def keep(u: Vertex, t: int) -> bool:
-        nonlocal floor
-        mu_min = _trapezoid_mu_min(tree, level(u), t)
-        if best.value > 0 and mu_min * best.value > l1:
-            floor = mu_min
-            return False
-        return True
-
     for r, total, mu in _trapezoid_masses(tree, phi, [x], keep):
         evaluated += 1
         best.offer(total / mu, r)
-    certificate = CutoffCertificate(HL_RULE, floor, l1 / floor, evaluated)
-    return MaximalResult(NormValue.exact1(best.value), best.witness, certificate)
+    return MaximalResult(NormValue.exact1(best.value), best.witness, keep.certificate(evaluated))
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +233,20 @@ def threshold_trapezoids(
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("threshold must be positive")
-    cap = lp_power(tree, phi, 1) / lam
-
-    def keep(u: Vertex, t: int) -> bool:
-        return _trapezoid_mu_min(tree, level(u), t) < cap
-
+    rule = hl_rule(tree, phi)
+    cap = rule.bound(lam)  # the bound l1 / mu falls to lam at the measure l1 / lam
     out = [
         r
-        for r, total, mu in _trapezoid_masses(tree, phi, phi.support(), keep)
+        for r, total, mu in _trapezoid_masses(
+            tree, phi, phi.support(), lambda u, t: rule.least(level(u), t) < cap
+        )
         if total > lam * mu
     ]
     out.sort(key=lambda r: witness_key(tree, r))
     return out
 
 
-MAX_LEVEL_SET = 100_000  # vertices a level set may materialise
+MAX_LEVEL_SET = MAX_LISTED  # vertices a level set may materialise
 
 
 def maximal_level_set(
@@ -237,40 +281,13 @@ def maximal_level_set(
     omega = {v for v, val in phi.items() if val > lam}
     for r in traps:
         omega.update(members(tree, r))
-    l1 = lp_power(tree, phi, 1)
-    certificate = CutoffCertificate(
-        HL_RULE,
-        l1 / lam,
-        lam,
-        len(traps),
-    )
-    return frozenset(omega), certificate
+    rule = hl_rule(tree, phi)  # its bound falls to lam at the measure bound(lam)
+    return frozenset(omega), CutoffCertificate(rule.name, rule.bound(lam), lam, len(traps))
 
 
 # ---------------------------------------------------------------------------
 # sharp maximal function over CZ sets
 # ---------------------------------------------------------------------------
-
-
-def _cz_mu_min(tree: Tree, x_level: int, t: int) -> Fraction:
-    h0 = (t + 4) // 4
-    return (4 * h0 - (h0 + 1) // 2) * tree.level_weight(x_level + t)
-
-
-SHARP_RULE = "oscillation <= (||f||_q^q/measure)^(1/q) + ||f||_1/measure"
-
-
-def _stop(
-    tree: Tree,
-    holds: Callable[[Fraction, NormValue], bool],
-    x_level: int,
-    t: int,
-    best: NormValue,
-) -> Fraction | None:
-    """The least measure of a CZ set rooted t levels above a start at
-    x_level, if the stop test there ends a climb holding best; else None."""
-    mu_min = _cz_mu_min(tree, x_level, t)
-    return mu_min if holds(mu_min, best) else None
 
 
 # (root, t, lead): a climb about to test wave t at root = ancestor(x, t),
@@ -310,16 +327,12 @@ class _Shared:
     """
 
     def __init__(self, tree: Tree, f: FinFunc, q: Exponent) -> None:
-        self.tree, self.f, self.q = tree, f, q
+        self.tree, self.rule = tree, sharp_rule(tree, f, q)
         self.index = SupportIndex(f)
         self.heights: dict[Vertex, set[int]] = {}
         self.values: dict[CZSet, NormValue] = {}
         self.waves: dict[tuple[Vertex, int], tuple[NormValue, CZSet] | None] = {}
         self.ends: dict[_State, MaximalResult] = {}
-
-    @cached_property
-    def holds(self) -> Callable[[Fraction, NormValue], bool]:
-        return oscillation_bound(self.tree, self.f, self.q)
 
     def held(self, root: Vertex) -> set[int]:
         """The heights h for which CZSet(root, h) holds a support vertex:
@@ -365,9 +378,9 @@ class _Shared:
         wave's best is offered, None)."""
         root, t, _ = state
         if best is not None:
-            stop = _stop(self.tree, self.holds, level(root) - t, t, best.value)
-            if stop is not None:
-                return best, stop
+            mu = self.rule.least(level(root) - t, t)
+            if self.rule.holds(mu, best.value):
+                return best, mu
         top = self.wave(root, t, set_value)
         if top is not None and not top[0].is_zero():  # see the class
             if best is None:
@@ -389,7 +402,7 @@ class _Shared:
             path.append(state)
             best, stop = self.step(state, best, set_value)
             if stop is not None:
-                certificate = CutoffCertificate(SHARP_RULE, stop, None, evaluated)
+                certificate = self.rule.certificate(stop, evaluated)
                 ends[state] = MaximalResult(best.value, best.witness, certificate)
                 break
             evaluated += len(feasible_heights(t))
@@ -402,15 +415,14 @@ class _Shared:
 
 def sup_over_cz(
     tree: Tree,
-    f: FinFunc,
-    q: Exponent,
+    rule: StopRule,
     starts: list[Vertex],
     set_value: Callable[[CZSet], NormValue],
 ) -> tuple[ArgMax, CutoffCertificate]:
     """Sup of set_value over the CZ sets containing some start vertex.
 
-    f must be nonzero and q finite; set_value(S) must not exceed the
-    q-oscillation of f on S, which the stop rule bounds.  The search starts
+    set_value(S) must not exceed what the rule bounds, for `sharp_rule`
+    the q-oscillation of a nonzero f at a finite q.  The search starts
     at value zero on the degenerate set {starts[0]}, counted as evaluated,
     and offers every candidate set of `sets.rooted_bands` one by one.
     `bmo.bmo_norm` runs it from every support vertex at once; the climb
@@ -418,26 +430,14 @@ def sup_over_cz(
     witness and certificate with less work, and the tests compare the two.
     """
     best = ArgMax(tree, NormValue.zero(), CZSet(starts[0], 1, degenerate=True))
+    keep = _Cutoff(rule, best)
     evaluated = 1
-    floor: Fraction | None = None
-    bound_holds = oscillation_bound(tree, f, q)
-
-    def keep(u: Vertex, t: int) -> bool:
-        nonlocal floor
-        if best.value.is_zero():
-            return True
-        stop = _stop(tree, bound_holds, level(u), t, best.value)
-        if stop is None:
-            return True
-        floor = stop if floor is None else min(floor, stop)
-        return False
-
     for root, hs in rooted_bands(starts, feasible_heights, keep):
         evaluated += len(hs)
         for h in hs:
             cand = CZSet(root, h)
             best.offer(set_value(cand), cand)
-    return best, CutoffCertificate(SHARP_RULE, floor, None, evaluated)
+    return best, keep.certificate(evaluated)
 
 
 def _sharp_at(
@@ -445,7 +445,7 @@ def _sharp_at(
     f: FinFunc,
     q,
     x: Vertex,
-    set_value: Callable[[CZSet], NormValue],
+    set_value: Callable[[CZSet], NormValue] | None = None,
     shared: _Shared | None = None,
 ) -> MaximalResult:
     q = Exponent.of(q)
@@ -459,7 +459,7 @@ def _sharp_at(
         )
     if shared is None:
         shared = _Shared(tree, f, q)
-    return shared.climb(x, set_value)
+    return shared.climb(x, set_value or (lambda s: oscillation(tree, f, s, q, index=shared.index)))
 
 
 def sharp_maximal(
@@ -472,9 +472,7 @@ def sharp_maximal(
     then evaluated once per field, through the memo's `SupportIndex`, and
     each state of a climb is climbed once (see `_Shared`).
     """
-    q = Exponent.of(q)
-    memo = _Shared(tree, f, q) if _memo is None else _memo
-    return _sharp_at(tree, f, q, x, lambda s: oscillation(tree, f, s, q, index=memo.index), memo)
+    return _sharp_at(tree, f, q, x, shared=_memo)
 
 
 def centered_sharp_maximal(tree: Tree, f: FinFunc, q, x: Vertex) -> MaximalResult:

@@ -8,12 +8,13 @@ so a report produced from a config is reproducible byte for byte.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .funcs import FinFunc
 from .sets import member_count
-from .tree import Tree, Vertex, Window
+from .tree import EnumerationError, Tree, Vertex, Window
 
 KINDS = ("indicator", "rademacher", "sparse", "atom-combo")
 
@@ -55,6 +56,8 @@ def generate_function(
     # draws are made on member indices, which consume the RNG exactly as the
     # listed members would; only the drawn indices become vertices
     size = member_count(tree, window)
+    if size > sys.maxsize:  # the longest range random.sample and choice draw from
+        raise EnumerationError(f"window {window} has over {sys.maxsize} vertices to draw from")
     if kind == "indicator":
         return FinFunc.indicator(window.member(tree, rng.choice(range(size))))
     if kind == "rademacher":

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator
 
 from .tree import (
     Band,
+    EnumerationError,
     Tree,
     Vertex,
     Window,
@@ -35,10 +36,6 @@ from .tree import (
     level,
     vertex_sort_key,
 )
-
-
-class EnumerationError(ValueError):
-    """Raised when a requested enumeration cannot be completed as asked."""
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ freely across threads.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -27,6 +29,38 @@ from typing import Iterator, NamedTuple
 
 class InvalidVertexError(ValueError):
     """Raised when a vertex description is malformed for the given tree."""
+
+
+class EnumerationError(ValueError):
+    """Raised when a requested enumeration cannot be completed as asked."""
+
+
+MAX_LISTED = 100_000  # vertices a window, a ball or a level set may list
+# m**e > MAX_LISTED for every m >= 2 and e >= this, so counts may cap e here
+_LISTED_EXPONENT = MAX_LISTED.bit_length()
+
+
+def _check_listed(what: str, count: int) -> None:
+    if count > MAX_LISTED:
+        raise EnumerationError(f"{what} holds more than the budget of {MAX_LISTED} vertices")
+
+
+def unprintable(bits: int) -> ValueError:
+    """The error for a rational of this many bits in its numerator or
+    denominator whose digits pass the most CPython prints."""
+    return ValueError(
+        f"a rational of {bits} bits is too large to print: its numerator "
+        f"or denominator passes {sys.get_int_max_str_digits()} digits"
+    )
+
+
+def check_power(m: int, e: int) -> None:
+    """Raise `unprintable` if m**|e| has more digits than CPython prints,
+    before it is formed: such a power reaches no report."""
+    limit, e = sys.get_int_max_str_digits(), abs(e)
+    digits = e * math.log10(m)  # m**e has floor(digits) + 1 of them; exact near the limit
+    if limit and digits > limit - 1 and (digits > limit + 1 or m**e >= 10**limit):
+        raise unprintable(int(e * math.log2(m)) + 1)
 
 
 class Vertex(NamedTuple):
@@ -111,13 +145,17 @@ class Tree:
     def level_weight(self, lvl: int) -> Fraction:
         w = _POWERS.get((self.m, lvl))
         if w is None:
+            check_power(self.m, lvl)
             w = _POWERS[self.m, lvl] = Fraction(self.m) ** lvl
         return w
 
     def ball(self, v: Vertex, r: int) -> list[Vertex]:
-        """All vertices at distance <= r from v (closed ball), by BFS."""
+        """All vertices at distance <= r from v (closed ball), by BFS, refused
+        past MAX_LISTED from their count 1 + (m + 1)(m**r - 1)/(m - 1)."""
         if r < 0:
             raise ValueError("radius must be >= 0")
+        m, e = self.m, min(r, _LISTED_EXPONENT)
+        _check_listed(f"ball of radius {r} about {v}", 1 + (m + 1) * (m**e - 1) // (m - 1))
         seen = {v}
         frontier = [v]
         for _ in range(r):
@@ -141,6 +179,7 @@ class Tree:
         if r == 0:
             return self.weight(v)
         m = self.m
+        check_power(m, r + 1)
         return self.weight(v) * Fraction(m ** (r + 1) + m**r - 2, m - 1)
 
     def ball_measure_enumerated(self, v: Vertex, r: int) -> Fraction:
@@ -261,6 +300,10 @@ class Window(Band):
         return 0, self.depth
 
     def members(self, tree: Tree) -> list[Vertex]:
+        """Every vertex, by depth, refused past MAX_LISTED from their count
+        m**0 + ... + m**depth."""
+        m, e = tree.m, min(self.depth, _LISTED_EXPONENT)
+        _check_listed(f"window {self}", (m ** (e + 1) - 1) // (m - 1))
         out: list[Vertex] = []
         for d in range(self.depth + 1):
             out.extend(tree.descendants_at_depth(self.root, d))

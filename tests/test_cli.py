@@ -299,6 +299,62 @@ def test_decompose_far_threshold_exit_two(tmp_path, capsys, j, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+ATOM = FinFunc({U: Fraction(1, 3), Vertex(-1, ()): Fraction(-1, 3)})
+BUDGET = "holds more than the budget of 100000 vertices"
+UNPRINTABLE = "bits is too large to print: its numerator or denominator passes 4300 digits"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # refused from the closed-form count, before any vertex is listed
+        (["sharp", "--window", "root=0:,depth=1000000000"],
+         f"window root=0:,depth=1000000000 {BUDGET}"),
+        (["maximal", "--window", "root=0:,depth=17"], f"window root=0:,depth=17 {BUDGET}"),
+        (["ball", "--center", "0:", "--radius", "20"], f"ball of radius 20 about 0: {BUDGET}"),
+        # refused from the digits of m**|level| before the power is formed
+        (["--m", "3", "measure", "--ball", "0:", "100000000"],
+         f"a rational of 158496252 {UNPRINTABLE}"),
+        (["measure", "--vertex", "1000000000:"], f"a rational of 1000000001 {UNPRINTABLE}"),
+        (["cover", "--n", "1000000000"], f"a rational of 1000000001 {UNPRINTABLE}"),
+        (["cover", "--vertex=-1000000000:"], f"a rational of 1000000001 {UNPRINTABLE}"),
+        (["maximal", "--at", "1000000000:"], f"a rational of 1000000001 {UNPRINTABLE}"),
+        (["sharp", "--at=-1000000000:"], f"a rational of 1000000001 {UNPRINTABLE}"),
+        (["sharp", "--q", "1/0", "--at", "0:"], "rational '1/0' has a zero denominator"),
+        (["bmo-norm", "--q=-3/0"], "rational '-3/0' has a zero denominator"),
+        (["sharp", "--q=1e1000000000", "--at", "0:"], f"a rational of 3321928095 {UNPRINTABLE}"),
+        # |1/3|**(10**9) and 2**(-10**9) are refused before they are formed
+        (["decompose", "--q", "1000000000", "--j", "0"], f"a rational of 1584962501 {UNPRINTABLE}"),
+        (["decompose", "--q", "1000000000", "--all"], f"a rational of 1584962501 {UNPRINTABLE}"),
+    ],
+)
+def test_far_input_exit_two(tmp_path, capsys, argv, message):
+    path = write_func(tmp_path, "g.json", ATOM)
+    if {"sharp", "maximal", "bmo-norm", "decompose"} & set(argv):
+        argv = [*argv, "--in", path]
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_decompose_far_exponent_of_a_unit_function_exit_two(tmp_path, capsys):
+    # |g|**q = 1 is formed; the thresholds 2**(jq) are refused
+    path = write_func(tmp_path, "g.json", FinFunc({U: Fraction(1), Vertex(-1, ()): Fraction(-1)}))
+    for extra in (["--j", "-1"], ["--all"]):
+        assert main(["decompose", "--q", "1000000000", "--in", path, *extra]) == 2
+        assert capsys.readouterr().err == (
+            "error: threshold 2**-1000000000 is too large to print: |jq| exceeds 14284\n"
+        )
+
+
+def test_h1_candidates_from_a_window_too_long_to_draw_from_exit_two(tmp_path, capsys):
+    path = write_func(tmp_path, "g.json", ATOM)
+    code = main(["--m", "1000000000", "h1", "--in", path, "--family", "auto:root=1:,depth=3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: window root=1:,depth=3 has over ") and err.count("\n") == 1
+
+
 def test_decompose_unprintable_report_exit_two(tmp_path, capsys):
     # |jq| = 14284 passes the threshold check, but the report's measure bound
     # l1/2**14284 = 1/2**14285 has 4 301 digits, one more than CPython prints
@@ -332,6 +388,7 @@ def test_missing_file_exit_two(capsys):
         [{"v": "0:1"}],
         [{"v": 5, "val": "1"}],
         [{"v": "0:1", "val": "1/0"}],
+        [{"v": "0:1", "val": "1e100000000"}],
     ],
 )
 def test_malformed_function_exit_two(tmp_path, capsys, data):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from treebmo.maximal import (
     best_constant_oscillation,
     centered_sharp_maximal,
     hl_maximal,
+    hl_rule,
     maximal_level_set,
     sharp_field,
     sharp_maximal,
+    sharp_rule,
     sup_over_cz,
     threshold_trapezoids,
 )
@@ -34,8 +37,44 @@ def _set_by_set(tree, f, q, x, set_value=oscillation):
     """The sharp maximal function at x from `sup_over_cz`, which offers
     every CZ set of the climb one by one and shares nothing."""
     q = Exponent.of(q)
-    best, certificate = sup_over_cz(tree, f, q, [x], lambda s: set_value(tree, f, s, q))
+    rule = sharp_rule(tree, f, q)
+    best, certificate = sup_over_cz(tree, rule, [x], lambda s: set_value(tree, f, s, q))
     return MaximalResult(best.value, best.witness, certificate)
+
+
+def _stops_at_every_test(rule):
+    return replace(rule, holds=lambda mu, best: True)
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("x", [Vertex(-3, ()), Vertex(2, ())])
+    def test_no_stop_while_the_best_is_zero(self, monkeypatch, x):
+        # x is off the support, so each climb starts at a zero best and meets
+        # zero waves first; under a rule that holds at every test it still
+        # climbs to its first nonzero best, which here is the oracle's value
+        for q in (1, 2):
+            rule = _stops_at_every_test(sharp_rule(T2, CHI_U, q))
+            best, _ = sup_over_cz(T2, rule, [x], lambda s: oscillation(T2, CHI_U, s, q))
+            assert best.value.eq_value(bf.sharp_maximal_oracle(T2, CHI_U, q, x))
+        monkeypatch.setattr(maximal, "hl_rule", lambda *a: _stops_at_every_test(hl_rule(*a)))
+        monkeypatch.setattr(maximal, "sharp_rule", lambda *a: _stops_at_every_test(sharp_rule(*a)))
+        assert hl_maximal(T2, CHI_U, x).value.as_fraction() == bf.hl_maximal_oracle(T2, CHI_U, x)
+        for q in (1, 2):
+            got = sharp_maximal(T2, CHI_U, q, x).value
+            assert got.eq_value(bf.sharp_maximal_oracle(T2, CHI_U, q, x))
+
+    def test_sup_over_cz_certifies_by_the_rule_it_is_given(self):
+        f = nonzero_function(T2, WINDOW, 23, "sparse", 0)
+        for q in (1, 2):
+            rule = sharp_rule(T2, f, q)
+            for x in (U, O):
+                want, cert = sup_over_cz(T2, rule, [x], lambda s: oscillation(T2, f, s, q))
+                got, named = sup_over_cz(
+                    T2, replace(rule, name="x"), [x], lambda s: oscillation(T2, f, s, q)
+                )
+                assert cert.rule == rule.name and cert.measure_bound is not None
+                assert named == replace(cert, rule="x")
+                assert got.value.eq_value(want.value) and got.witness == want.witness
 
 
 class TestHLMaximal:

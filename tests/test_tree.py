@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from treebmo.tree import (
+    MAX_LISTED,
     ORIGIN,
+    EnumerationError,
     InvalidVertexError,
     Tree,
     Vertex,
@@ -193,6 +195,41 @@ class TestMeasure:
                 assert tree.ball_measure_enumerated(v, r) == tree.ball_measure_closed(
                     v, r
                 )
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("tree", [T2, T3])
+    def test_listing_is_refused_from_the_closed_form_count(self, tree):
+        m = tree.m
+        for depth in (1, 5, 16, 10**9):
+            count = sum(m**d for d in range(min(depth, 20) + 1))
+            w = Window(ORIGIN, depth)
+            if count <= MAX_LISTED:
+                assert len(w.members(tree)) == count
+            else:
+                with pytest.raises(EnumerationError, match=f"window {w} holds more than"):
+                    w.members(tree)
+        for r in (1, 4, 16, 10**9):
+            count = 1 + (m + 1) * (m ** min(r, 20) - 1) // (m - 1)
+            if count <= MAX_LISTED:
+                assert len(tree.ball(ORIGIN, r)) == count
+            else:
+                with pytest.raises(EnumerationError, match=f"ball of radius {r} about 0: holds"):
+                    tree.ball(ORIGIN, r)
+
+    def test_unprintable_power_is_refused_before_it_is_formed(self):
+        # CPython prints at most 4300 digits by default: 2**14284 and 10**4299
+        # have that many, 2**14285 and 10**4300 one more
+        assert T2.level_weight(14284) == 2**14284
+        assert T2.level_weight(-14284) == Fraction(1, 2**14284)
+        assert Tree(10).level_weight(4299) == 10**4299
+        for tree, lvl, bits in ((T2, -14285, 14286), (Tree(10), 4300, 14285)):
+            with pytest.raises(ValueError, match=f"a rational of {bits} bits is too large"):
+                tree.level_weight(lvl)
+        with pytest.raises(ValueError, match="a rational of 1000000001 bits is too large"):
+            T2.weight(Vertex(10**9, ()))
+        with pytest.raises(ValueError, match="a rational of 158496252 bits is too large"):
+            T3.ball_measure_closed(ORIGIN, 10**8)
 
 
 class TestWindowMember:
