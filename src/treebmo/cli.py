@@ -22,7 +22,7 @@ from .hardy import (
     h1_estimate,
     telescoping_h1_upper,
 )
-from .maximal import hl_maximal, sharp_field
+from .maximal import hl_field, sharp_field
 from .randgen import RunConfig, nonzero_function
 from .sets import (
     EnumerationError,
@@ -257,7 +257,7 @@ def dispatch(args) -> tuple[object, int]:
 
     if cmd == "maximal":
         phi = _load_func(tree, args.infile)
-        return {x: hl_maximal(tree, phi, x) for x in _points(tree, args)}, 0
+        return hl_field(tree, phi, _points(tree, args)), 0
 
     if cmd == "decompose":
         g = _load_func(tree, args.infile)

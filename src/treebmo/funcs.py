@@ -54,8 +54,6 @@ class Exponent:
             return p
         if p is None or p == math.inf or (isinstance(p, str) and p.lower() == "inf"):
             return cls(None)
-        if isinstance(p, str):
-            return cls(Fraction(p))
         return cls(Fraction(p))
 
     @property
@@ -233,10 +231,6 @@ class FinFunc:
     @classmethod
     def indicator(cls, *vertices: Vertex) -> "FinFunc":
         return cls({v: Fraction(1) for v in vertices})
-
-    @classmethod
-    def zero(cls) -> "FinFunc":
-        return cls()
 
     def at(self, v: Vertex) -> Fraction:
         return self._data.get(v, Fraction(0))
@@ -434,6 +428,13 @@ class SupportIndex:
                     held.append((num, d))
         return held
 
+    def band(self, m: int, root: Vertex, lo: int, hi: int) -> tuple[list[tuple[int, int]], int]:
+        """(numerator, m**(hi - d)) of each support vertex d = lo..hi levels
+        below root, and M = (hi - lo + 1) * m**hi.  Member weights and the
+        band's measure are these times m**(level(root) - hi), which cancels."""
+        scaled = [(num, m ** (hi - d)) for num, d in self.at(root) if lo <= d <= hi]
+        return scaled, (hi - lo + 1) * m**hi
+
 
 def oscillation(
     tree: Tree, f: FinFunc, s: TrapezoidLike, q, *, index: SupportIndex | None = None
@@ -443,13 +444,11 @@ def oscillation(
     Only the support of f is visited; the off-support members of s enter
     through their total measure, since f vanishes there.  For q in {1, 2}
     the sums are integers: with B the common denominator of f's
-    `SupportIndex` and levels the number of depths d = lo..hi of s, a member
-    at depth d weighs m**(level(root) - hi) * m**(hi - d) and s measures
-    m**(level(root) - hi) * M, where M = levels * m**hi.  The common power
-    cancels, so the mean oscillation is N / (B * M**2) for q = 1 and
-    N / (B**2 * M**3) for q = 2, with N an integer.  The support vertices in
-    s are read from the index's list for the root of s; a search over many
-    sets passes one `index` of f, and a call without one builds its own.
+    `SupportIndex` and M the band total of `SupportIndex.band`, the mean
+    oscillation is N / (B * M**2) for q = 1 and N / (B**2 * M**3) for
+    q = 2, with N an integer.  The support vertices in s are read from the
+    index's list for the root of s; a search over many sets passes one
+    `index` of f, and a call without one builds its own.
     A set holding no support vertex gives the zero of its q.  Other
     exponents take the Fraction and float route of `lq_mean`.
     """
@@ -464,9 +463,7 @@ def oscillation(
         raise ZeroMeasureError("cannot average over a set of measure 0")
     if index is None:
         index = SupportIndex(f)
-    m = tree.m
-    total = (hi - lo + 1) * m**hi
-    scaled = [(num, m ** (hi - d)) for num, d in index.at(s.root) if lo <= d <= hi]
+    scaled, total = index.band(tree.m, s.root, lo, hi)
     # the mean is centre / (unit * total); count values in units of that
     centre = sum(num * w for num, w in scaled)
     return _lq_mean([(num * total, w) for num, w in scaled], centre, total, q, index.unit * total)

@@ -12,27 +12,25 @@ stop a chain once an a-priori bound shows that any set rooted higher
 cannot beat the current best.  That bound is a `StopRule` (`hl_rule`,
 `sharp_rule`), which is part of the public contract: every result carries
 its certificate, stating the measure threshold past which candidates were
-discarded and the inequality that justifies it.  `bmo.bmo_norm` runs the
-set-by-set CZ search, `sup_over_cz`, from every support vertex.  The test
-suite replays these computations against brute-force oracles with no cutoff.
+discarded and the inequality that justifies it.  The test suite replays
+these computations against brute-force oracles with no cutoff.
 
-`sharp_field` climbs from many points of a window through one `_Shared`,
-which evaluates each CZ set holding a support vertex once, finds each
-wave's best set once and skips the sets holding none (they oscillate by
-zero).  The rest of a climb depends only on its state: ancestor(x, t), t
-and the set holding the running best.  Within one field that set fixes
-the best value, and the count of sets evaluated and the stop's measure
-depend only on the wave where the climb stops, so each state is climbed
-once per field.  A lone `sharp_maximal` or `centered_sharp_maximal` runs
-through a `_Shared` of its own; `sup_over_cz` is the set-by-set search of
-`bmo.bmo_norm` and the reference the tests check the climbs against.
+Both climbs run through `_Shared`, which takes the set family as data
+and serves the points of one field: each set holding a support vertex is
+valued once, each wave's best found once, sets holding none are skipped
+(they average and oscillate by zero), and each climb state is climbed
+once.  `hl_field` and `sharp_field` pass one `_Shared` to every point; a
+lone `hl_maximal`, `sharp_maximal` or `centered_sharp_maximal` runs
+through one of its own.  `sup_over_cz` is the set-by-set CZ search that
+`bmo.bmo_norm` runs from every support vertex, and the reference the
+tests check the climbs against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .funcs import (
     Exponent,
@@ -96,7 +94,7 @@ class StopRule:
 
     name: str
     least: Callable[[int, int], Fraction]
-    holds: Callable[[Fraction, Fraction | NormValue], bool]
+    holds: Callable[[Fraction, NormValue], bool]
     bound: Callable[[Fraction], Fraction] | None = None
 
     def certificate(self, floor: Fraction | None, evaluated: int) -> CutoffCertificate:
@@ -112,7 +110,7 @@ def hl_rule(tree: Tree, phi: FinFunc) -> StopRule:
     return StopRule(
         "average <= total_mass / measure",
         lambda lvl, t: (t // 2 + 1) * tree.level_weight(lvl + t),
-        lambda mu, best: mu * best > l1,
+        lambda mu, best: mu * best.as_fraction() > l1,
         lambda mu: l1 / mu,
     )
 
@@ -139,8 +137,7 @@ class _Cutoff:
 
     def __call__(self, u: Vertex, t: int) -> bool:
         value = self.best.value
-        # a Fraction best is falsy at zero; a NormValue is always truthy
-        if value.is_zero() if isinstance(value, NormValue) else not value:
+        if value.is_zero():
             return True
         mu = self.rule.least(level(u), t)
         if not self.rule.holds(mu, value):
@@ -157,63 +154,56 @@ class _Cutoff:
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_masses(
-    tree: Tree,
-    phi: FinFunc,
-    starts: list[Vertex],
-    keep: Callable[[Vertex, int], bool],
-) -> Iterator[tuple[AdmissibleTrapezoid, Fraction, Fraction]]:
-    """(trapezoid, integral of phi over it, its measure) along the stream.
-
-    Each support mass is added, as the stream's roots rise, to the
-    per-depth totals of each of its ancestors: the father chains of the
-    support climb once, one level at a time, to the highest root so far.
-    A band's integral is then a sum over the depths held below its root.
-    """
-    # [vertex on the chain, its level, depth of the support vertex below it, mass]
-    chains = [[v, level(v), 0, val * tree.weight(v)] for v, val in phi.items()]
-    below: dict[Vertex, dict[int, Fraction]] = {}
-    reached = min((c[1] for c in chains), default=0)  # every chain is indexed to here
-    # the heights whose band [h, 2h) reaches depth t below the root
-    for root, hs in rooted_bands(starts, lambda t: range(t // 2 + 1, t + 1), keep):
-        root_level = level(root)
-        while reached < root_level:
-            reached += 1
-            for c in chains:
-                if c[1] < reached:
-                    c[0], c[1], c[2] = father(c[0]), reached, c[2] + 1
-                    totals = below.setdefault(c[0], {})
-                    d = c[2]
-                    totals[d] = totals[d] + c[3] if d in totals else c[3]
-        depths = below.get(root, {})
-        for h in hs:
-            band = [m for d, m in depths.items() if h <= d < 2 * h]
-            total = sum(band[1:], band[0]) if band else Fraction(0)
-            yield AdmissibleTrapezoid(root, h), total, h * tree.level_weight(root_level)
+def _trapezoid_heights(d: int) -> range:
+    """The heights h whose band [h, 2h) holds depth d: the integers in (d/2, d]."""
+    return range(d // 2 + 1, d + 1)
 
 
-def hl_maximal(tree: Tree, phi: FinFunc, x: Vertex) -> MaximalResult:
+def _band_mean(m: int, index: SupportIndex, root: Vertex, h: int) -> tuple[int, int]:
+    """The average of the index's function over AdmissibleTrapezoid(root, h)
+    as integers (N, D), N / D, from its band sums (`SupportIndex.band`)."""
+    scaled, total = index.band(m, root, h, 2 * h - 1)
+    return sum(num * w for num, w in scaled), index.unit * total
+
+
+def _hl_shared(tree: Tree, phi: FinFunc) -> _Shared:
+    for _, val in phi.items():
+        if val < 0:
+            raise ValueError("hl_maximal requires a nonnegative function")
+    return _Shared(tree, phi, hl_rule(tree, phi), AdmissibleTrapezoid, _trapezoid_heights)
+
+
+def hl_maximal(
+    tree: Tree, phi: FinFunc, x: Vertex, *, _memo: _Shared | None = None
+) -> MaximalResult:
     """Exact sup of averages of phi over admissible trapezoids containing x.
 
     phi must be nonnegative.  Roots climb the father chain of x; at height
     t the feasible heights are the integers in (t/2, t], and the chain
     stops once the smallest measure at that height already caps averages
-    below the running best.
+    below the running best, which starts at phi(x) on the degenerate
+    trapezoid {x}.  The climb runs through a `_Shared` of its own, or
+    through `_memo`, which `hl_field` passes to every point of a field.
     """
-    for _, val in phi.items():
-        if val < 0:
-            raise ValueError("hl_maximal requires a nonnegative function")
+    shared = _hl_shared(tree, phi) if _memo is None else _memo
     if not phi:
-        return MaximalResult(
-            NormValue.zero(), None, _trivial_certificate("zero function")
-        )
-    best = ArgMax(tree, phi.at(x), AdmissibleTrapezoid(x, 1, degenerate=True))
-    keep = _Cutoff(hl_rule(tree, phi), best)
-    evaluated = 1
-    for r, total, mu in _trapezoid_masses(tree, phi, [x], keep):
-        evaluated += 1
-        best.offer(total / mu, r)
-    return MaximalResult(NormValue.exact1(best.value), best.witness, keep.certificate(evaluated))
+        return MaximalResult(NormValue.zero(), None, _trivial_certificate("zero function"))
+    m, index, start = tree.m, shared.index, phi.at(x)
+    deg = AdmissibleTrapezoid(x, 1, degenerate=True)
+    best = ArgMax(tree, NormValue.exact1(start), deg) if start else None
+    return shared.climb(x, lambda r: NormValue(Fraction(*_band_mean(m, index, r.root, r.h))), best)
+
+
+def hl_field(
+    tree: Tree, phi: FinFunc, where: Window | Iterable[Vertex]
+) -> dict[Vertex, MaximalResult]:
+    """Pointwise Hardy-Littlewood maximal function on a window or explicit
+    vertex list, the counterpart of `sharp_field`: phi >= 0 is checked
+    once, and each point is one `hl_maximal` call through one `_Shared`,
+    which values each trapezoid once and climbs each state once."""
+    points = where.members(tree) if isinstance(where, Window) else list(where)
+    memo = _hl_shared(tree, phi)
+    return {v: hl_maximal(tree, phi, v, _memo=memo) for v in points}
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +225,15 @@ def threshold_trapezoids(
         raise ValueError("threshold must be positive")
     rule = hl_rule(tree, phi)
     cap = rule.bound(lam)  # the bound l1 / mu falls to lam at the measure l1 / lam
-    out = [
-        r
-        for r, total, mu in _trapezoid_masses(
-            tree, phi, phi.support(), lambda u, t: rule.least(level(u), t) < cap
-        )
-        if total > lam * mu
-    ]
+    index, m = SupportIndex(phi), tree.m
+    out = []
+    for root, hs in rooted_bands(
+        phi.support(), _trapezoid_heights, lambda u, t: rule.least(level(u), t) < cap
+    ):
+        for h in hs:
+            num, den = _band_mean(m, index, root, h)
+            if num * lam.denominator > lam.numerator * den:
+                out.append(AdmissibleTrapezoid(root, h))
     out.sort(key=lambda r: witness_key(tree, r))
     return out
 
@@ -286,80 +278,81 @@ def maximal_level_set(
 
 
 # ---------------------------------------------------------------------------
-# sharp maximal function over CZ sets
+# the climbs from the points of one field
 # ---------------------------------------------------------------------------
 
 
 # (root, t, lead): a climb about to test wave t at root = ancestor(x, t),
 # holding the best set so far, or None while the best is still zero
-_State = tuple[Vertex, int, CZSet | None]
+_State = tuple[Vertex, int, AdmissibleTrapezoid | CZSet | None]
 
 
 class _Shared:
-    """The climbs of the sharp maximal function from the points of one field.
+    """The climbs of one maximal function from the points of one field.
 
-    A climb from x runs in waves t = 1, 2, ...: unless the stop test ends
-    it, wave t offers the best (value, set) over CZSet(ancestor(x, t), h),
-    h in feasible_heights(t).  That order is total (value, then the
-    witness_key, unique per set), so the best of the wave bests is the best
-    over the sets.  A set holding no support vertex oscillates by zero and
-    is skipped unevaluated, found from the depths of the support below its
-    root.  Those depths come from the field's one `SupportIndex` of f,
-    which `sharp_maximal` also passes to `oscillation`.  A wave of value
-    zero is not offered: while the best is zero the start's degenerate set
-    holds it, and its measure m**level(x) is below that of any CZ set
-    holding x, so it wins every tie at zero.
+    The set family is data: kind(root, h) is a set, and heights(d) lists
+    the heights of the sets rooted d levels above a vertex that hold it
+    (CZSet with `feasible_heights`, AdmissibleTrapezoid with
+    `_trapezoid_heights`).  A climb from x runs in waves t = 1, 2, ...:
+    unless the stop test ends it, wave t offers the best (value, set) over
+    kind(ancestor(x, t), h), h in heights(t).  That order is total (value,
+    then the witness_key, unique per set), so the best of the wave bests is
+    the best over the sets.  A set holding no support vertex averages and
+    oscillates by zero and is skipped unevaluated, found by heights(d) from
+    the depths d of the support below its root, read from the field's one
+    `SupportIndex` of f, as the set values are.  A wave of value zero is
+    not offered: while the best is zero the start's degenerate set holds
+    it, and its measure m**level(x) is below that of any set holding x, so
+    it wins every tie at zero.
 
     The rest of a climb depends only on its state (root, t, lead), where
     root = ancestor(x, t) and lead is the set holding the best, or None
     while the best is zero.  root and t fix the start's level, which the
-    stop test reads.  lead fixes the best value: the values of one field
-    come from one set_value at one q, which has one representation per
-    value (degree 1 for q = 1, 2 for q = 2, a float otherwise), so a tie
-    that moves the lead keeps an equal NormValue.  Every climb starts at
-    t = 1 and counts all of feasible_heights(t) as evaluated for each wave
-    it passes, as the set-by-set climb does, so that count and the stop's
-    measure depend only on the wave where it stops.  So each state's
-    ending, the point's whole MaximalResult, is found once: a climb that
-    reaches a known state takes that ending and records it for every state
-    it passed.  Values, waves and endings are those of each point climbing
-    alone, so the results do not depend on the order of the points.
+    stop test reads.  lead fixes the best value: a degenerate lead {x}
+    holds f(x), and the values of one field come from one set_value, which
+    has one representation per value (degree 1 for averages and q = 1, 2
+    for q = 2, a float otherwise), so a tie that moves the lead keeps an
+    equal NormValue.  Every climb starts at t = 1 and counts all of
+    heights(t) as evaluated for each wave it passes, as the set-by-set
+    climb does, so that count and the stop's measure depend only on the
+    wave where it stops.  So each state's ending, the point's whole
+    MaximalResult, is found once: a climb that reaches a known state takes
+    that ending and records it for every state it passed.  The results do
+    not depend on the order of the points.
     """
 
-    def __init__(self, tree: Tree, f: FinFunc, q: Exponent) -> None:
-        self.tree, self.rule = tree, sharp_rule(tree, f, q)
+    def __init__(self, tree: Tree, f: FinFunc, rule: StopRule, kind: type, heights: Callable):
+        self.tree, self.rule, self.kind, self.heights = tree, rule, kind, heights
         self.index = SupportIndex(f)
-        self.heights: dict[Vertex, set[int]] = {}
-        self.values: dict[CZSet, NormValue] = {}
-        self.waves: dict[tuple[Vertex, int], tuple[NormValue, CZSet] | None] = {}
+        self.holding: dict[Vertex, set[int]] = {}
+        self.values: dict = {}  # set -> value
+        self.waves: dict[tuple[Vertex, int], tuple | None] = {}  # -> (value, set) or None
         self.ends: dict[_State, MaximalResult] = {}
 
     def held(self, root: Vertex) -> set[int]:
-        """The heights h for which CZSet(root, h) holds a support vertex:
-        a vertex d levels below root is a member for h in feasible_heights(d)."""
-        held = self.heights.get(root)
+        """The heights h for which kind(root, h) holds a support vertex:
+        a vertex d levels below root is a member for h in heights(d)."""
+        held = self.holding.get(root)
         if held is None:
-            held = self.heights[root] = set()
+            held = self.holding[root] = set()
             for _, d in self.index.at(root):
-                held.update(feasible_heights(d))
+                held.update(self.heights(d))
         return held
 
-    def wave(
-        self, root: Vertex, t: int, set_value: Callable[[CZSet], NormValue]
-    ) -> tuple[NormValue, CZSet] | None:
-        """The best (value, set) over the sets CZSet(root, h), h in
-        feasible_heights(t), that hold a support vertex, or None if none
-        does.  Each wave and each set's value is found once per field."""
+    def wave(self, root: Vertex, t: int, set_value: Callable) -> tuple | None:
+        """The best (value, set) over the sets kind(root, h), h in
+        heights(t), that hold a support vertex, or None if none does.
+        Each wave and each set's value is found once per field."""
         key = (root, t)
         if key in self.waves:
             return self.waves[key]
         values = self.values
         held = self.held(root)
         best = None
-        for h in feasible_heights(t):
+        for h in self.heights(t):
             if h not in held:
                 continue
-            s = CZSet(root, h)
+            s = self.kind(root, h)
             if s not in values:
                 values[s] = set_value(s)
             if best is None:
@@ -370,7 +363,7 @@ class _Shared:
         return top
 
     def step(
-        self, state: _State, best: ArgMax | None, set_value: Callable[[CZSet], NormValue]
+        self, state: _State, best: ArgMax | None, set_value: Callable
     ) -> tuple[ArgMax | None, Fraction | None]:
         """One wave of a climb from a state no climb has passed, with best
         the climb's running best (None while it is zero): (best, the stop's
@@ -389,12 +382,12 @@ class _Shared:
                 best.offer(*top)
         return best, None
 
-    def climb(self, x: Vertex, set_value: Callable[[CZSet], NormValue]) -> MaximalResult:
-        """The sharp maximal function at x under set_value, from the known
+    def climb(self, x: Vertex, set_value: Callable, best: ArgMax | None = None) -> MaximalResult:
+        """The maximal function at x under set_value, from best, the start's
+        degenerate set holding a nonzero f(x), or None, and from the known
         ending of the first state of x's climb that an earlier climb passed.
-        The climb stops only once its best is nonzero, so the start's
-        degenerate set, which holds a zero best, is never the witness."""
-        best: ArgMax | None = None
+        The climb stops only once its best is nonzero, so a degenerate set
+        holding a zero best is never the witness."""
         root, t, evaluated = father(x), 1, 1
         path = []
         ends = self.ends
@@ -405,12 +398,17 @@ class _Shared:
                 certificate = self.rule.certificate(stop, evaluated)
                 ends[state] = MaximalResult(best.value, best.witness, certificate)
                 break
-            evaluated += len(feasible_heights(t))
+            evaluated += len(self.heights(t))
             root, t = father(root), t + 1
         end = ends[state]
         for passed in path:
             ends[passed] = end
         return end
+
+
+# ---------------------------------------------------------------------------
+# sharp maximal function over CZ sets
+# ---------------------------------------------------------------------------
 
 
 def sup_over_cz(
@@ -458,7 +456,7 @@ def _sharp_at(
             _trivial_certificate("zero function", 1),
         )
     if shared is None:
-        shared = _Shared(tree, f, q)
+        shared = _Shared(tree, f, sharp_rule(tree, f, q), CZSet, feasible_heights)
     return shared.climb(x, set_value or (lambda s: oscillation(tree, f, s, q, index=shared.index)))
 
 
@@ -555,5 +553,5 @@ def sharp_field(
     """
     points = where.members(tree) if isinstance(where, Window) else list(where)
     q = Exponent.of(q)
-    memo = _Shared(tree, f, q)
+    memo = _Shared(tree, f, sharp_rule(tree, f, q), CZSet, feasible_heights)
     return {v: sharp_maximal(tree, f, q, v, _memo=memo) for v in points}

@@ -11,7 +11,7 @@ import treebmo
 from treebmo import cli, jsonio, suites
 from treebmo.cli import main
 from treebmo.funcs import FinFunc
-from treebmo.maximal import sharp_maximal
+from treebmo.maximal import hl_maximal, sharp_maximal
 from treebmo.randgen import nonzero_function
 from treebmo.sets import CZSet
 from treebmo.tree import Tree, Vertex, Window, format_vertex, parse_vertex, parse_window
@@ -93,6 +93,17 @@ def test_sharp_prints_the_per_point_bytes(tmp_path, capsys, where):
     pts = [parse_vertex(T2, spec)] if flag == "--at" else parse_window(T2, spec).members(T2)
     per_point = {
         format_vertex(x): jsonio.maximal_json(T2, sharp_maximal(T2, f, 2, x)) for x in pts
+    }
+    assert capsys.readouterr().out == jsonio.dumps(per_point) + "\n"
+
+
+def test_maximal_window_prints_the_per_point_bytes(tmp_path, capsys):
+    phi = abs(nonzero_function(T2, Window(Vertex(2, ()), 4), 11, "sparse", 0))
+    path = write_func(tmp_path, "phi.json", phi)
+    assert main(["maximal", "--window", "root=0:,depth=8", "--in", path]) == 0
+    per_point = {
+        format_vertex(x): jsonio.maximal_json(T2, hl_maximal(T2, phi, x))
+        for x in Window(Vertex(0, ()), 8).members(T2)
     }
     assert capsys.readouterr().out == jsonio.dumps(per_point) + "\n"
 

@@ -12,6 +12,7 @@ from treebmo.maximal import (
     MaximalResult,
     best_constant_oscillation,
     centered_sharp_maximal,
+    hl_field,
     hl_maximal,
     hl_rule,
     maximal_level_set,
@@ -22,7 +23,7 @@ from treebmo.maximal import (
     threshold_trapezoids,
 )
 from treebmo.randgen import nonzero_function
-from treebmo.sets import AdmissibleTrapezoid, ArgMax, CZSet, EnumerationError, members
+from treebmo.sets import AdmissibleTrapezoid, ArgMax, CZSet, EnumerationError, members, witness_key
 from treebmo.tree import Tree, Vertex, Window
 
 T2 = Tree(2)
@@ -122,6 +123,48 @@ class TestHLMaximal:
                 )
 
 
+class TestHLField:
+    def test_agrees_with_pointwise(self):
+        # every point's whole result is that of its own hl_maximal call,
+        # whatever order the field visits the points in
+        for tree, win in ((T2, WINDOW), (Tree(3), Window(Vertex(1, ()), 3))):
+            for i in range(3):
+                phi = abs(nonzero_function(tree, win, 43, "sparse", i))
+                pts = win.members(tree)
+                shuffled = pts[:]
+                random.Random(i).shuffle(shuffled)
+                alone = {x: hl_maximal(tree, phi, x) for x in pts}
+                for order in (pts, shuffled):
+                    assert hl_field(tree, phi, order) == alone
+
+    def test_each_trapezoid_valued_once(self, monkeypatch):
+        phi = abs(nonzero_function(T2, WINDOW, 43, "sparse", 0))
+        calls = Counter()
+        band_mean = maximal._band_mean
+
+        def counted(m, index, root, h):
+            calls[root, h] += 1
+            return band_mean(m, index, root, h)
+
+        monkeypatch.setattr(maximal, "_band_mean", counted)
+        field = hl_field(T2, phi, WINDOW)
+        assert calls and max(calls.values()) == 1
+        assert sum(r.certificate.sets_evaluated for r in field.values()) > len(calls)
+
+    def test_matches_oracle(self):
+        win = Window(Vertex(1, ()), 3)
+        for i in range(4):
+            phi = abs(nonzero_function(T2, win, 47, "sparse", i))
+            for x, r in hl_field(T2, phi, win).items():
+                assert r.value.as_fraction() == bf.hl_maximal_oracle(T2, phi, x)
+
+    def test_zero_and_negative_functions(self):
+        field = hl_field(T2, FinFunc(), WINDOW)
+        assert all(r.value.is_zero() and r.witness is None for r in field.values())
+        with pytest.raises(ValueError):
+            hl_field(T2, FinFunc({U: Fraction(-1)}), [O])
+
+
 class TestLevelSet:
     def test_worked_example(self):
         omega, cert = maximal_level_set(T2, CHI_U, Fraction(1, 4))
@@ -160,6 +203,25 @@ class TestLevelSet:
         for r in threshold_trapezoids(T2, phi, lam):
             assert average(T2, phi, r) > lam
             assert all(v in omega for v in members(T2, r))
+
+    @pytest.mark.parametrize("tree, win", [(T2, WINDOW), (Tree(3), Window(Vertex(1, ()), 3))])
+    def test_threshold_trapezoids_complete_and_ordered(self, tree, win):
+        # a trapezoid averaging above lam meets the support and measures
+        # below ||phi||_1 / lam, so the union over the support of the
+        # oracle's trapezoids up to that measure holds every one of them
+        for i in range(4):
+            phi = abs(nonzero_function(tree, win, 41, "sparse", i))
+            l1 = lp_power(tree, phi, 1)
+            for k in (3, 17, 100):
+                lam = phi.max_abs() / k
+                found = {
+                    r
+                    for x in phi.support()
+                    for r in bf.trapezoids_containing(tree, x, l1 / lam)
+                    if not r.degenerate and average(tree, phi, r) > lam
+                }
+                want = sorted(found, key=lambda r: witness_key(tree, r))
+                assert threshold_trapezoids(tree, phi, lam) == want
 
 
 class TestSharpMaximal:

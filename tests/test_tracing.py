@@ -46,3 +46,38 @@ def test_tracer_intercepts_each_workload(tracing):
             # the Hörmander constant runs through its patched name too
             assert "bmo.hormander" in names
             assert metrics["bmo.hormander.kernel_rows"] == 24
+
+
+
+def _trace_instance(tracing, workload, i):
+    w = workload(1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.start_instance(i)
+        tracing.workloads.run(w, w.make(i))
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def test_hl_climbs_run_through_their_patched_name(tracing, monkeypatch):
+    workloads = tracing.workloads
+    counted = []
+    hook = tracing._HOOKS["maximal.hl_maximal"]
+
+    def recorded(tr, args, result):
+        counted.append(result.certificate.sets_evaluated)
+        hook(tr, args, result)
+
+    monkeypatch.setitem(tracing._HOOKS, "maximal.hl_maximal", recorded)
+    # each bmo-field HL value is one hl_maximal span that counts its sets
+    tracer = _trace_instance(tracing, workloads.WORKLOADS["bmo-field"], 0)
+    names = [span[0] for span in tracer.spans]
+    assert counted and len(counted) == names.count("maximal.hl_maximal")
+    assert all(n > 0 for n in counted)
+    # a telescoping decomposition reaches hl_maximal through hardy's name
+    tracer = _trace_instance(tracing, workloads.WORKLOADS["decompose"], 6)
+    names = [span[0] for span in tracer.spans]
+    parents = {names[span[3]] for span in tracer.spans if span[0] == "maximal.hl_maximal"}
+    assert parents == {"hardy.telescoping"}
