@@ -366,11 +366,21 @@ def _lq_mean(pairs, c, mu, q, unit: int) -> NormValue:
     if q.value == 2:
         num = sum((v - c) ** 2 * w for v, w in pairs)
         return NormValue(Fraction(num + c * c * rest, mu * unit * unit), 2)
-    qf = float(q)
     cf = _frac_to_float(Fraction(c, unit))
-    num = sum(abs(_frac_to_float(Fraction(v, unit)) - cf) ** qf * _frac_to_float(w) for v, w in pairs)
-    num += abs(cf) ** qf * _frac_to_float(rest)
-    return NormValue.approximate((num / _frac_to_float(mu)) ** (1.0 / qf))
+    diffs = ((_frac_to_float(Fraction(v, unit)) - cf, _frac_to_float(w)) for v, w in pairs)
+    num = _power_sum(diffs, q)
+    num += _power_sum([(cf, _frac_to_float(rest))], q)
+    return NormValue.approximate((num / _frac_to_float(mu)) ** (1.0 / float(q)))
+
+
+def _power_sum(terms: Iterable[tuple[float, float]], q: Exponent) -> float:
+    """The float sum of |x|**q * w over the (x, w) terms; a power past the
+    largest float is refused with a ValueError naming q."""
+    qf = float(q)
+    try:
+        return sum(abs(x) ** qf * w for x, w in terms)
+    except OverflowError:
+        raise ValueError(f"a float |x|**q passes the largest float at q = {q}") from None
 
 
 def lp_norm(tree: Tree, f: FinFunc, p) -> NormValue:
@@ -508,10 +518,8 @@ def oscillation_bound(tree: Tree, f: FinFunc, q) -> Callable[[Fraction, NormValu
 
         return holds2
     qf = float(q)
-    lq = sum(
-        abs(_frac_to_float(val)) ** qf * _frac_to_float(tree.weight(v))
-        for v, val in f.items()
-    )
+    weighted = ((_frac_to_float(val), _frac_to_float(tree.weight(v))) for v, val in f.items())
+    lq = _power_sum(weighted, q)
 
     def holds(mu: Fraction, best: NormValue) -> bool:
         bound = (lq / _frac_to_float(mu)) ** (1.0 / qf) + _frac_to_float(l1 / mu)

@@ -10,18 +10,19 @@ Two suprema over infinite families are computed here:
 Both climb father chains, keep the best value in a `sets.ArgMax`, and
 stop a chain once an a-priori bound shows that any set rooted higher
 cannot beat the current best.  That bound is a `StopRule` (`hl_rule`,
-`sharp_rule`), which is part of the public contract: every result carries
-its certificate, stating the measure threshold past which candidates were
-discarded and the inequality that justifies it.  The test suite replays
-these computations against brute-force oracles with no cutoff.
+`sharp_rule`), which carries its set family and is part of the public
+contract: every result carries its certificate, stating the measure
+threshold past which candidates were discarded and the inequality that
+justifies it.  The test suite replays these computations against
+brute-force oracles with no cutoff.
 
-Both climbs run through `_Shared`, which takes the set family as data
+Both climbs run through `_Shared`, which reads the set family off the rule
 and serves the points of one field: each set holding a support vertex is
 valued once, each wave's best found once, sets holding none are skipped
 (they average and oscillate by zero), and each climb state is climbed
 once.  `hl_field` and `sharp_field` pass one `_Shared` to every point; a
 lone `hl_maximal`, `sharp_maximal` or `centered_sharp_maximal` runs
-through one of its own.  `sup_over_cz` is the set-by-set CZ search that
+through one of its own.  `sup_over_cz` is the set-by-set search that
 `bmo.bmo_norm` runs from every support vertex, and the reference the
 tests check the climbs against.
 """
@@ -38,6 +39,7 @@ from .funcs import (
     NormValue,
     SupportIndex,
     _frac_to_float,
+    _power_sum,
     lp_power,
     lq_mean,
     on_set,
@@ -49,7 +51,6 @@ from .sets import (
     ArgMax,
     CZSet,
     EnumerationError,
-    feasible_heights,
     member_count,
     members,
     rooted_bands,
@@ -87,15 +88,29 @@ def _trivial_certificate(rule: str, n: int = 0) -> CutoffCertificate:
 
 @dataclass(frozen=True)
 class StopRule:
-    """The a-priori bound that ends a climb, named in its certificates:
+    """The a-priori bound that ends a climb over the sets of one kind
+    (`AdmissibleTrapezoid` or `CZSet`), named in its certificates:
     holds(mu, best) is True when no candidate of measure >= mu can beat
-    best, least(lvl, t) is the least measure of a candidate rooted t levels
-    above a start at level lvl, and bound(mu), if given, caps them all."""
+    best, and bound(mu), if given, caps them all."""
 
     name: str
-    least: Callable[[int, int], Fraction]
+    tree: Tree
+    kind: type
     holds: Callable[[Fraction, NormValue], bool]
     bound: Callable[[Fraction], Fraction] | None = None
+
+    def least(self, lvl: int, t: int) -> Fraction:
+        """The least measure of a set t levels above a start at level lvl holding it."""
+        return self.kind.least_levels(t) * self.tree.level_weight(lvl + t)
+
+    def stop(self, lvl: int, t: int, best: NormValue) -> Fraction | None:
+        """The measure at which the rule ends a climb from level lvl before
+        its wave t, or None if it goes on, as it always does at a zero best
+        (the start's degenerate set, which any nonzero value beats)."""
+        if best.is_zero():
+            return None
+        mu = self.least(lvl, t)
+        return mu if self.holds(mu, best) else None
 
     def certificate(self, floor: Fraction | None, evaluated: int) -> CutoffCertificate:
         at_floor = None if floor is None or self.bound is None else self.bound(floor)
@@ -104,59 +119,25 @@ class StopRule:
 
 def hl_rule(tree: Tree, phi: FinFunc) -> StopRule:
     """Averages of phi >= 0 over admissible trapezoids are at most its
-    total mass over their measure.  A trapezoid rooted t levels above a
-    start holds it at depth t < 2h, so its height h is at least t // 2 + 1."""
+    total mass over their measure."""
     l1 = lp_power(tree, phi, 1)
     return StopRule(
         "average <= total_mass / measure",
-        lambda lvl, t: (t // 2 + 1) * tree.level_weight(lvl + t),
+        tree, AdmissibleTrapezoid,
         lambda mu, best: mu * best.as_fraction() > l1,
         lambda mu: l1 / mu,
     )
 
 
 def sharp_rule(tree: Tree, f: FinFunc, q) -> StopRule:
-    """q-oscillations of f over CZ sets, capped by `funcs.oscillation_bound`.
-    The least CZ set rooted t levels above a start has height (t + 4) // 4."""
-
-    def least(lvl: int, t: int) -> Fraction:
-        h0 = (t + 4) // 4
-        return (4 * h0 - (h0 + 1) // 2) * tree.level_weight(lvl + t)
-
+    """q-oscillations of f over CZ sets, capped by `funcs.oscillation_bound`."""
     name = "oscillation <= (||f||_q^q/measure)^(1/q) + ||f||_1/measure"
-    return StopRule(name, least, oscillation_bound(tree, f, q))
-
-
-class _Cutoff:
-    """The keep of a `sets.rooted_bands` search for a largest value: it stops
-    a chain where the rule holds against a nonzero running best (a zero best
-    is the start's degenerate set), and floor is the least stop measure."""
-
-    def __init__(self, rule: StopRule, best: ArgMax) -> None:
-        self.rule, self.best, self.floor = rule, best, None
-
-    def __call__(self, u: Vertex, t: int) -> bool:
-        value = self.best.value
-        if value.is_zero():
-            return True
-        mu = self.rule.least(level(u), t)
-        if not self.rule.holds(mu, value):
-            return True
-        self.floor = mu if self.floor is None else min(self.floor, mu)
-        return False
-
-    def certificate(self, evaluated: int) -> CutoffCertificate:
-        return self.rule.certificate(self.floor, evaluated)
+    return StopRule(name, tree, CZSet, oscillation_bound(tree, f, q))
 
 
 # ---------------------------------------------------------------------------
 # Hardy-Littlewood-type maximal function over admissible trapezoids
 # ---------------------------------------------------------------------------
-
-
-def _trapezoid_heights(d: int) -> range:
-    """The heights h whose band [h, 2h) holds depth d: the integers in (d/2, d]."""
-    return range(d // 2 + 1, d + 1)
 
 
 def _band_mean(m: int, index: SupportIndex, root: Vertex, h: int) -> tuple[int, int]:
@@ -170,7 +151,7 @@ def _hl_shared(tree: Tree, phi: FinFunc) -> _Shared:
     for _, val in phi.items():
         if val < 0:
             raise ValueError("hl_maximal requires a nonnegative function")
-    return _Shared(tree, phi, hl_rule(tree, phi), AdmissibleTrapezoid, _trapezoid_heights)
+    return _Shared(tree, phi, hl_rule(tree, phi))
 
 
 def hl_maximal(
@@ -228,7 +209,7 @@ def threshold_trapezoids(
     index, m = SupportIndex(phi), tree.m
     out = []
     for root, hs in rooted_bands(
-        phi.support(), _trapezoid_heights, lambda u, t: rule.least(level(u), t) < cap
+        phi.support(), rule.kind.heights, lambda u, t: rule.least(level(u), t) < cap
     ):
         for h in hs:
             num, den = _band_mean(m, index, root, h)
@@ -290,14 +271,13 @@ _State = tuple[Vertex, int, AdmissibleTrapezoid | CZSet | None]
 class _Shared:
     """The climbs of one maximal function from the points of one field.
 
-    The set family is data: kind(root, h) is a set, and heights(d) lists
-    the heights of the sets rooted d levels above a vertex that hold it
-    (CZSet with `feasible_heights`, AdmissibleTrapezoid with
-    `_trapezoid_heights`).  A climb from x runs in waves t = 1, 2, ...:
-    unless the stop test ends it, wave t offers the best (value, set) over
-    kind(ancestor(x, t), h), h in heights(t).  That order is total (value,
-    then the witness_key, unique per set), so the best of the wave bests is
-    the best over the sets.  A set holding no support vertex averages and
+    The set family is the rule's kind: kind(root, h) is a set, and
+    heights(d) = kind.heights(d) lists the heights of the sets rooted d
+    levels above a vertex that hold it.  A climb from x runs in waves
+    t = 1, 2, ...: unless `StopRule.stop` ends it, wave t offers the best
+    (value, set) over kind(ancestor(x, t), h), h in heights(t).  That order
+    is total (value, then the witness_key, unique per set), so the best of
+    the wave bests is the best over the sets.  A set holding no support vertex averages and
     oscillates by zero and is skipped unevaluated, found by heights(d) from
     the depths d of the support below its root, read from the field's one
     `SupportIndex` of f, as the set values are.  A wave of value zero is
@@ -321,8 +301,8 @@ class _Shared:
     not depend on the order of the points.
     """
 
-    def __init__(self, tree: Tree, f: FinFunc, rule: StopRule, kind: type, heights: Callable):
-        self.tree, self.rule, self.kind, self.heights = tree, rule, kind, heights
+    def __init__(self, tree: Tree, f: FinFunc, rule: StopRule) -> None:
+        self.tree, self.rule, self.kind, self.heights = tree, rule, rule.kind, rule.kind.heights
         self.index = SupportIndex(f)
         self.holding: dict[Vertex, set[int]] = {}
         self.values: dict = {}  # set -> value
@@ -367,13 +347,11 @@ class _Shared:
     ) -> tuple[ArgMax | None, Fraction | None]:
         """One wave of a climb from a state no climb has passed, with best
         the climb's running best (None while it is zero): (best, the stop's
-        measure) if the stop test ends the climb here, else (best after the
-        wave's best is offered, None)."""
+        measure) if `StopRule.stop` ends the climb here, else (best after
+        the wave's best is offered, None)."""
         root, t, _ = state
-        if best is not None:
-            mu = self.rule.least(level(root) - t, t)
-            if self.rule.holds(mu, best.value):
-                return best, mu
+        if best is not None and (mu := self.rule.stop(level(root) - t, t, best.value)) is not None:
+            return best, mu
         top = self.wave(root, t, set_value)
         if top is not None and not top[0].is_zero():  # see the class
             if best is None:
@@ -407,7 +385,7 @@ class _Shared:
 
 
 # ---------------------------------------------------------------------------
-# sharp maximal function over CZ sets
+# the set-by-set search, and the sharp maximal function over CZ sets
 # ---------------------------------------------------------------------------
 
 
@@ -415,27 +393,36 @@ def sup_over_cz(
     tree: Tree,
     rule: StopRule,
     starts: list[Vertex],
-    set_value: Callable[[CZSet], NormValue],
+    set_value: Callable[[AdmissibleTrapezoid | CZSet], NormValue],
 ) -> tuple[ArgMax, CutoffCertificate]:
-    """Sup of set_value over the CZ sets containing some start vertex.
+    """Sup of set_value over the sets of the rule's kind containing some
+    start vertex: CZ sets under `sharp_rule`, trapezoids under `hl_rule`.
 
     set_value(S) must not exceed what the rule bounds, for `sharp_rule`
     the q-oscillation of a nonzero f at a finite q.  The search starts
     at value zero on the degenerate set {starts[0]}, counted as evaluated,
-    and offers every candidate set of `sets.rooted_bands` one by one.
+    and offers every candidate set of `sets.rooted_bands` one by one until
+    `StopRule.stop` ends each chain; the least stop measure is certified.
     `bmo.bmo_norm` runs it from every support vertex at once; the climb
     from one point runs through `_Shared`, which gives the same value,
     witness and certificate with less work, and the tests compare the two.
     """
-    best = ArgMax(tree, NormValue.zero(), CZSet(starts[0], 1, degenerate=True))
-    keep = _Cutoff(rule, best)
+    kind, stops = rule.kind, []
+    best = ArgMax(tree, NormValue.zero(), kind(starts[0], 1, degenerate=True))
+
+    def keep(u: Vertex, t: int) -> bool:
+        mu = rule.stop(level(u), t, best.value)
+        if mu is not None:
+            stops.append(mu)
+        return mu is None
+
     evaluated = 1
-    for root, hs in rooted_bands(starts, feasible_heights, keep):
+    for root, hs in rooted_bands(starts, kind.heights, keep):
         evaluated += len(hs)
         for h in hs:
-            cand = CZSet(root, h)
+            cand = kind(root, h)
             best.offer(set_value(cand), cand)
-    return best, keep.certificate(evaluated)
+    return best, rule.certificate(min(stops, default=None), evaluated)
 
 
 def _sharp_at(
@@ -456,7 +443,7 @@ def _sharp_at(
             _trivial_certificate("zero function", 1),
         )
     if shared is None:
-        shared = _Shared(tree, f, sharp_rule(tree, f, q), CZSet, feasible_heights)
+        shared = _Shared(tree, f, sharp_rule(tree, f, q))
     return shared.climb(x, set_value or (lambda s: oscillation(tree, f, s, q, index=shared.index)))
 
 
@@ -497,12 +484,11 @@ def best_constant_oscillation(tree: Tree, f: FinFunc, s, q) -> NormValue:
     full = pairs + [(Fraction(0), rest)] if rest > 0 else pairs
     if q.value == 1:
         return lq_mean(pairs, _weighted_median(full), mu, q)
-    qf = float(q)
     vals = sorted(float(val) for val, _ in full)
     fpairs = [(_frac_to_float(val), _frac_to_float(w)) for val, w in full]
 
     def objective(c: float) -> float:
-        return sum(abs(val - c) ** qf * w for val, w in fpairs)
+        return _power_sum(((val - c, w) for val, w in fpairs), q)
 
     lo, hi = vals[0], vals[-1]
     golden = (5**0.5 - 1) / 2
@@ -553,5 +539,5 @@ def sharp_field(
     """
     points = where.members(tree) if isinstance(where, Window) else list(where)
     q = Exponent.of(q)
-    memo = _Shared(tree, f, sharp_rule(tree, f, q), CZSet, feasible_heights)
+    memo = _Shared(tree, f, sharp_rule(tree, f, q))
     return {v: sharp_maximal(tree, f, q, v, _memo=memo) for v in points}

@@ -311,7 +311,9 @@ def test_decompose_far_threshold_exit_two(tmp_path, capsys, j, message):
 
 
 ATOM = FinFunc({U: Fraction(1, 3), Vertex(-1, ()): Fraction(-1, 3)})
+SIX = FinFunc({U: Fraction(6), Vertex(-1, ()): Fraction(-6)})  # 6**1000 passes the largest float
 BUDGET = "holds more than the budget of 100000 vertices"
+POWER = "a float |x|**q passes the largest float at q = 1000"
 UNPRINTABLE = "bits is too large to print: its numerator or denominator passes 4300 digits"
 
 
@@ -337,11 +339,16 @@ UNPRINTABLE = "bits is too large to print: its numerator or denominator passes 4
         # |1/3|**(10**9) and 2**(-10**9) are refused before they are formed
         (["decompose", "--q", "1000000000", "--j", "0"], f"a rational of 1584962501 {UNPRINTABLE}"),
         (["decompose", "--q", "1000000000", "--all"], f"a rational of 1584962501 {UNPRINTABLE}"),
+        # a float route's |x|**q is refused where it overflows, before any climb
+        (["bmo-norm", "--q=1000", "--in", "SIX"], POWER),
+        (["sharp", "--q=1000", "--at", "0:", "--in", "SIX"], POWER),
+        (["check", "sharp", "--q", "1000", "--size", "1"], POWER),
     ],
 )
 def test_far_input_exit_two(tmp_path, capsys, argv, message):
     path = write_func(tmp_path, "g.json", ATOM)
-    if {"sharp", "maximal", "bmo-norm", "decompose"} & set(argv):
+    argv = [write_func(tmp_path, "six.json", SIX) if a == "SIX" else a for a in argv]
+    if argv[0] in {"sharp", "maximal", "bmo-norm", "decompose"} and "--in" not in argv:
         argv = [*argv, "--in", path]
     code = main(argv)
     assert code == 2

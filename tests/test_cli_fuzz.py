@@ -2,10 +2,11 @@
 
 Each case starts from valid arguments and input files and replaces some of
 them with far vertices, huge or negative integers, zero denominators,
-far decimal exponents, malformed strings or empty lists.  Run in-process through `cli.main`, every
-case must end with exit code 0 and a JSON report, or exit code 2 and no
-traceback: a one-line "error: ..." from the command, or argparse's usage
-message.
+far decimal exponents, malformed strings or empty lists; a function given
+a value of size >= 3 is taken at the exponent 1000.  Run in-process
+through `cli.main`, every case must end with exit code 0 and a JSON
+report, or exit code 2 and no traceback: a one-line "error: ..." from the
+command, or argparse's usage message.
 """
 
 import json
@@ -70,6 +71,14 @@ def _kernel(rng: random.Random):
     return {"window": _window(rng, "4:", "8"), "entries": entries}
 
 
+def _reaches_three(data) -> bool:
+    """Some entry of the function data has a value of size >= 3; the only
+    such values drawn are those of HUGE."""
+    return isinstance(data, list) and any(
+        isinstance(e, dict) and e.get("val") in HUGE and abs(int(e["val"])) >= 3 for e in data
+    )
+
+
 def _argv(rng: random.Random, command: str, tmp_path) -> list[str]:
     def dump(name, data):
         path = tmp_path / name
@@ -77,10 +86,15 @@ def _argv(rng: random.Random, command: str, tmp_path) -> list[str]:
         return str(path)
 
     f = dump("f.json", _function(rng, [("0:1", "1"), ("-1:", "1/3")]))
-    g = dump("g.json", _function(rng, [("0:1", "1/3"), ("-1:", "-1/3")]))
+    g_data = _function(rng, [("0:1", "1/3"), ("-1:", "-1/3")])
+    g = dump("g.json", g_data)
     # no huge exponent: at q = 1000 the float q-oscillations of values 1/3
-    # underflow to 0.0, and a bmo-norm climb never leaves its zero best
+    # underflow to 0.0, and a bmo-norm climb never leaves its zero best;
+    # but a value of size >= 3 overflows |x|**1000, which is refused
+    # before any climb starts
     q = f"--q={_pick(rng, rng.choice(['1', '2', '3/2']), BAD_FRAC, BELOW_ONE)}"
+    if _reaches_three(g_data):
+        q = "--q=1000"
     where = rng.choice(
         [[f"--at={_vertex(rng, '0:1')}"], [f"--window={_window(rng, '1:', '2')}"]]
     )

@@ -7,7 +7,15 @@ import pytest
 
 import treebmo.bruteforce as bf
 from treebmo import maximal
-from treebmo.funcs import Exponent, FinFunc, average, lp_power, oscillation, oscillation_bound
+from treebmo.funcs import (
+    Exponent,
+    FinFunc,
+    NormValue,
+    average,
+    lp_power,
+    oscillation,
+    oscillation_bound,
+)
 from treebmo.maximal import (
     MaximalResult,
     best_constant_oscillation,
@@ -76,6 +84,21 @@ class TestStopRule:
                 assert cert.rule == rule.name and cert.measure_bound is not None
                 assert named == replace(cert, rule="x")
                 assert got.value.eq_value(want.value) and got.witness == want.witness
+
+    @pytest.mark.parametrize("tree, win", [(T2, WINDOW), (Tree(3), Window(Vertex(1, ()), 3))])
+    def test_sup_over_cz_searches_the_kind_of_its_rule(self, tree, win):
+        # under hl_rule the set-by-set search runs over admissible trapezoids,
+        # and from a point off the support it starts where hl_maximal does
+        for i in range(4):
+            phi = abs(nonzero_function(tree, win, 29, "sparse", i))
+            rule = hl_rule(tree, phi)
+            for x in win.members(tree):
+                if phi.at(x):
+                    continue
+                best, cert = sup_over_cz(
+                    tree, rule, [x], lambda r: NormValue.exact1(average(tree, phi, r))
+                )
+                assert MaximalResult(best.value, best.witness, cert) == hl_maximal(tree, phi, x)
 
 
 class TestHLMaximal:

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,6 @@ from treebmo.sets import (
     enlargement_depth_range,
     enlargement_measure,
     envelope,
-    feasible_heights,
     members,
     ordered_members,
     set_measure,
@@ -315,13 +315,16 @@ class TestSupersetStream:
             assert any(s.contains(u) for u in supp)
 
     def test_feasible_heights_rule(self):
-        # a vertex at depth d below the root is a member iff h is in the range
-        for d in range(1, 12):
-            hs = set(feasible_heights(d))
-            for h in range(1, 3 * d + 4):
-                s = CZSet(O, h)
-                lo, hi = s.depth_range()
-                assert (lo <= d <= hi) == (h in hs)
+        # a vertex at depth d below the root is a member iff h is in the range,
+        # and the least set holding it spans least_levels(d) levels
+        for kind in (AdmissibleTrapezoid, CZSet):
+            for d in range(1, 41):
+                hs = set(kind.heights(d))
+                for h in range(1, 3 * d + 4):
+                    lo, hi = kind(O, h).depth_range()
+                    assert (lo <= d <= hi) == (h in hs), (kind, d, h)
+                fewest = min(hi - lo + 1 for lo, hi in (kind(O, h).depth_range() for h in hs))
+                assert kind.least_levels(d) == fewest, (kind, d)
 
 
 class TestSmallestEnclosing:
@@ -342,6 +345,21 @@ class TestSmallestEnclosing:
         for cand in cz_supersets(T2, pts, cap):
             if all(cand.contains(p) for p in pts):
                 assert cz_measure(T2, cand) >= cz_measure(T2, s)
+
+    @pytest.mark.parametrize("tree", [T2, T3])
+    def test_is_the_unique_least_over_seeded_points(self, tree):
+        # every CZ set holding the points is rooted on one father chain, and
+        # the answer is the only one of them at its measure or below
+        rng = random.Random(f"enclosing:{tree.m}")
+        for _ in range(60):
+            words = [[rng.randrange(tree.m) for _ in range(rng.randint(0, 3))] for _ in range(4)]
+            pts = [tree.vertex(rng.randint(-3, 3), w) for w in words[: rng.randint(1, 4)]]
+            s = smallest_enclosing_cz(tree, pts)
+            holding = [
+                c for c in cz_supersets(tree, pts, cz_measure(tree, s))
+                if not c.degenerate and all(c.contains(p) for p in pts)
+            ]
+            assert holding == [s]
 
 
 class TestDescendantCount:
@@ -384,14 +402,15 @@ class TestCzInWindow:
 class TestArgMax:
     def test_fraction_ties_go_to_smallest_key(self):
         small, large = CZSet(O, 1), CZSet(O, 2)
-        best = ArgMax(T2, Fraction(1, 2), large)
-        best.offer(Fraction(2, 4), small)
+        half = NormValue.exact1(Fraction(1, 2))
+        best = ArgMax(T2, half, large)
+        best.offer(NormValue.exact1(Fraction(2, 4)), small)
         assert best.witness == small
-        best.offer(Fraction(1, 2), large)
-        best.offer(Fraction(1, 3), CZSet(O, 1, degenerate=True))
-        assert (best.value, best.witness) == (Fraction(1, 2), small)
-        best.offer(Fraction(3, 5), large)
-        assert (best.value, best.witness) == (Fraction(3, 5), large)
+        best.offer(half, large)
+        best.offer(NormValue.exact1(Fraction(1, 3)), CZSet(O, 1, degenerate=True))
+        assert (best.value, best.witness) == (half, small)
+        best.offer(NormValue.exact1(Fraction(3, 5)), large)
+        assert (best.value, best.witness) == (NormValue.exact1(Fraction(3, 5)), large)
 
     def test_norm_values_tie_across_degrees(self):
         small, large = CZSet(O, 1), CZSet(O, 2)
