@@ -192,7 +192,8 @@ def sqrt_le_two_term(c: Fraction, alpha: Fraction, a: Fraction, beta: Fraction, 
 
 
 def norm_le_sum(c: NormValue, terms: list[tuple[Fraction, NormValue]]) -> bool:
-    """Decide c <= sum(coef * term); exact for up to two exact terms."""
+    """Decide c <= sum(coef * term); exact for up to two exact terms and for
+    any number of exact rational (degree-1) ones."""
     if c.exact and all(t.exact for _, t in terms):
         if len(terms) == 0:
             return c.sq == 0
@@ -202,6 +203,8 @@ def norm_le_sum(c: NormValue, terms: list[tuple[Fraction, NormValue]]) -> bool:
         if len(terms) == 2:
             (al, ta), (be, tb) = terms
             return sqrt_le_two_term(c.sq, Fraction(al), ta.sq, Fraction(be), tb.sq)
+        if c.degree == 1 and all(t.degree == 1 for _, t in terms):
+            return c.radicand <= sum(k * t.radicand for k, t in terms)
     return c.as_float() <= sum(float(k) * t.as_float() for k, t in terms) + 1e-9
 
 
@@ -374,13 +377,16 @@ def _lq_mean(pairs, c, mu, q, unit: int) -> NormValue:
 
 
 def _power_sum(terms: Iterable[tuple[float, float]], q: Exponent) -> float:
-    """The float sum of |x|**q * w over the (x, w) terms; a power past the
-    largest float is refused with a ValueError naming q."""
+    """The float sum of |x|**q * w over the (x, w) terms; a power, or a sum,
+    past the largest float is refused with a ValueError naming q."""
     qf = float(q)
     try:
-        return sum(abs(x) ** qf * w for x, w in terms)
+        total = sum(abs(x) ** qf * w for x, w in terms)
     except OverflowError:
-        raise ValueError(f"a float |x|**q passes the largest float at q = {q}") from None
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"a float |x|**q passes the largest float at q = {q}")
+    return total
 
 
 def lp_norm(tree: Tree, f: FinFunc, p) -> NormValue:

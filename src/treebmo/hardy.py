@@ -468,21 +468,20 @@ def h1_lp_gauge(tree: Tree, g: FinFunc, family: Sequence[CZSet]) -> GaugeResult:
     count = max(member_count(tree, s) for s in fam)
     if count > MAX_UNIVERSE:
         raise ValueError(f"{count} member vertices exceed the cap {MAX_UNIVERSE}")
+    for v in g.support():
+        if not any(s.contains(v) for s in fam):
+            raise InfeasibleError(f"support vertex {v} is covered by no family set")
     if len(fam) > 1:
         return _gauge_lp(tree, g, fam)
-    (s,) = fam
-    for v in g.support():
-        if not s.contains(v):
-            raise InfeasibleError(f"support vertex {v} is covered by no family set")
     if not g:
-        return GaugeResult(Fraction(0), (), (s,))
-    t = cz_measure(tree, s) * g.max_abs()
-    return GaugeResult(t, ((t, Atom(g.scaled(1 / t), s, Exponent.of(None))),), (s,))
+        return GaugeResult(Fraction(0), (), tuple(fam))
+    atom, t = normalize_to_atom(tree, g, fam[0])
+    return GaugeResult(t, ((t, atom),), tuple(fam))
 
 
 def _gauge_lp(tree: Tree, g: FinFunc, fam: list[CZSet]) -> GaugeResult:
     """The gauge's exact LP over a de-duplicated nonempty family, for a
-    zero-integral g.
+    zero-integral g whose support the family covers.
 
     Of the n (set i, member v) pairs, listed set by set in Vertex order,
     pair k owns the columns k and n + k (b_i(v) is their difference) and
@@ -497,9 +496,6 @@ def _gauge_lp(tree: Tree, g: FinFunc, fam: list[CZSet]) -> GaugeResult:
     if len(universe) > MAX_UNIVERSE:
         raise ValueError(f"{len(universe)} member vertices exceed the cap {MAX_UNIVERSE}")
     value_row = {v: r for r, v in enumerate(universe)}
-    for v in g.support():
-        if v not in value_row:
-            raise InfeasibleError(f"support vertex {v} is covered by no family set")
 
     n, nsets, nvalues = len(pairs), len(fam), len(universe)
     zero, one = Fraction(0), Fraction(1)
@@ -519,12 +515,10 @@ def _gauge_lp(tree: Tree, g: FinFunc, fam: list[CZSet]) -> GaugeResult:
     parts: list[dict[Vertex, Fraction]] = [{} for _ in fam]
     for k, (i, v) in enumerate(pairs):
         parts[i][v] = x[k] - x[n + k]
-    pieces: list[tuple[Fraction, Atom]] = []
-    for i, (s, part) in enumerate(zip(fam, parts)):
-        b, t = FinFunc(part), x[3 * n + i]
-        if b and t:
-            pieces.append((t, Atom(b.scaled(1 / t), s, Exponent.of(None))))
-    return GaugeResult(sol.objective, tuple(pieces), tuple(fam))
+    # at an optimum t_S = measure(S) * max|b_S|, the scale normalize_to_atom
+    # takes: a larger t_S could be lowered through its slacks
+    atoms = [normalize_to_atom(tree, b, s) for s, b in zip(fam, map(FinFunc, parts)) if b]
+    return GaugeResult(sol.objective, tuple((t, atom) for atom, t in atoms), tuple(fam))
 
 
 # ---------------------------------------------------------------------------

@@ -201,10 +201,14 @@ def threshold_trapezoids(
     and has measure < total_mass / lam, so the family is finite and the
     support-anchored climb below is exhaustive.
     """
-    lam = Fraction(lam)
+    return _over_threshold(hl_rule(tree, phi), phi, Fraction(lam))
+
+
+def _over_threshold(rule: StopRule, phi: FinFunc, lam: Fraction) -> list[AdmissibleTrapezoid]:
+    """`threshold_trapezoids` under phi's `hl_rule`."""
     if lam <= 0:
         raise ValueError("threshold must be positive")
-    rule = hl_rule(tree, phi)
+    tree = rule.tree
     cap = rule.bound(lam)  # the bound l1 / mu falls to lam at the measure l1 / lam
     index, m = SupportIndex(phi), tree.m
     out = []
@@ -245,7 +249,8 @@ def maximal_level_set(
         raise EnumerationError(
             f"level set holds a trapezoid of {size} vertices, over the budget {MAX_LEVEL_SET}"
         )
-    traps = threshold_trapezoids(tree, phi, lam)
+    rule = hl_rule(tree, phi)  # its bound falls to lam at the measure bound(lam)
+    traps = _over_threshold(rule, phi, lam)
     predicted = sum(member_count(tree, r) for r in traps)
     if predicted > MAX_LEVEL_SET:
         raise EnumerationError(
@@ -254,7 +259,6 @@ def maximal_level_set(
     omega = {v for v, val in phi.items() if val > lam}
     for r in traps:
         omega.update(members(tree, r))
-    rule = hl_rule(tree, phi)  # its bound falls to lam at the measure bound(lam)
     return frozenset(omega), CutoffCertificate(rule.name, rule.bound(lam), lam, len(traps))
 
 

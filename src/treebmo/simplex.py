@@ -35,94 +35,69 @@ def solve_lp(
     if any(len(row) != n for row in a) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
 
-    rows = [[Fraction(v) for v in row] for row in a]
-    rhs = [Fraction(v) for v in b]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # phase 1: one artificial variable per row, minimize their sum
-    tab = [rows[i] + [Fraction(0)] * m + [rhs[i]] for i in range(m)]
-    for i in range(m):
-        tab[i][n + i] = Fraction(1)
-    basis = [n + i for i in range(m)]
-    obj = [Fraction(0)] * (n + m + 1)
-    for i in range(m):  # reduced costs of cost vector (0...0, 1...1) under this basis
-        obj = [o - t for o, t in zip(obj, tab[i])]
-    for j in range(n + m):
-        if j >= n:
-            obj[j] += 1
+    # phase 1: rows with a negative right-hand side are negated, row i gets
+    # the artificial column n + i, and the cost is the sum of the artificials
+    rows = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(a, b)]
+    rows = [[-v for v in row] if row[-1] < 0 else row for row in rows]
+    zero, one = Fraction(0), Fraction(1)
+    unit = [[one if j == i else zero for j in range(m)] for i in range(m)]
+    tab = [r[:n] + e + r[n:] for r, e in zip(rows, unit)]
+    basis = list(range(n, n + m))
+    sums = [-sum((r[j] for r in rows), zero) for j in range(n + 1)]
+    obj = sums[:n] + [zero] * m + sums[n:]
     _run_simplex(tab, basis, obj, n + m)
     if -obj[-1] > 0:
         raise InfeasibleError("phase 1 optimum is positive")
 
-    # drive artificials out of the basis; drop redundant rows
+    # drive artificials out of the basis; drop redundant (all-zero) rows
     keep: list[int] = []
     for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        pivot_col = next((j for j in range(n) if tab[i][j] != 0), None)
-        if pivot_col is None:
-            continue  # all-zero row: redundant constraint
-        _pivot(tab, basis, None, i, pivot_col)
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is None:
+                continue
+            _pivot(tab, basis, None, i, col)
         keep.append(i)
-    tab = [tab[i] for i in keep]
-    basis = [basis[i] for i in keep]
 
     # phase 2 on the original columns
-    tab = [row[:n] + [row[-1]] for row in tab]
-    obj = [Fraction(v) for v in c] + [Fraction(0)]
-    for i, bi in enumerate(basis):
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    obj = [Fraction(v) for v in c] + [zero]
+    for row, bi in zip(tab, basis):
         coef = obj[bi]
         if coef:
-            obj = [o - coef * t for o, t in zip(obj, tab[i])]
+            obj = [o - coef * t for o, t in zip(obj, row)]
     _run_simplex(tab, basis, obj, n)
 
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
-    return LPSolution(x, sum((c[j] * x[j] for j in range(n)), Fraction(0)))
+    x = [zero] * n
+    for row, bi in zip(tab, basis):
+        x[bi] = row[-1]
+    return LPSolution(x, sum((cj * xj for cj, xj in zip(c, x)), zero))
 
 
 BLAND_AFTER = 2000
 
 
 def _run_simplex(tab, basis, obj, ncols) -> None:
-    """Pivot until the maintained reduced-cost row `obj` is nonnegative."""
+    """Pivot until the maintained reduced-cost row `obj` is nonnegative.
+
+    The entering column has the most negative reduced cost, ties to the
+    smallest column, or past BLAND_AFTER iterations the smallest column
+    with a negative one; the leaving row has the least ratio, ties to the
+    smallest basic column."""
     iterations = 0
     while True:
         iterations += 1
         bland = iterations > BLAND_AFTER
-        entering = None
-        best_cost = Fraction(0)
-        for j in range(ncols):
-            rj = obj[j]
-            if rj < 0:
-                if bland:
-                    entering = j
-                    break
-                if rj < best_cost:
-                    best_cost = rj
-                    entering = j
-        if entering is None:
+        priced = [(j if bland else obj[j], j) for j in range(ncols) if obj[j] < 0]
+        if not priced:
             return
-        leaving = None
-        best = None
-        for i in range(len(tab)):
-            if tab[i][entering] > 0:
-                ratio = tab[i][-1] / tab[i][entering]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
+        col = min(priced)[1]
+        rows = enumerate(zip(tab, basis))
+        ratios = [(r[-1] / r[col], bi, i) for i, (r, bi) in rows if r[col] > 0]
+        if not ratios:
             raise UnboundedError("no leaving row for entering column")
-        _pivot(tab, basis, obj, leaving, entering)
+        _pivot(tab, basis, obj, min(ratios)[2], col)
 
 
 def _pivot(tab, basis, obj, row: int, col: int) -> None:
@@ -130,15 +105,11 @@ def _pivot(tab, basis, obj, row: int, col: int) -> None:
     inv = Fraction(1) / pr[col]
     if inv != 1:
         tab[row] = pr = [v * inv for v in pr]
-    for i in range(len(tab)):
-        if i == row:
-            continue
-        factor = tab[i][col]
-        if factor:
-            tab[i] = [vi - factor * vp for vi, vp in zip(tab[i], pr)]
-    if obj is not None:
+    for i, ri in enumerate(tab):
+        factor = ri[col]
+        if i != row and factor:
+            tab[i] = [vi - factor * vp for vi, vp in zip(ri, pr)]
+    if obj is not None and obj[col]:
         factor = obj[col]
-        if factor:
-            nxt = [vi - factor * vp for vi, vp in zip(obj, pr)]
-            obj[:] = nxt
+        obj[:] = [vi - factor * vp for vi, vp in zip(obj, pr)]
     basis[row] = col

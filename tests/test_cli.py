@@ -312,6 +312,7 @@ def test_decompose_far_threshold_exit_two(tmp_path, capsys, j, message):
 
 ATOM = FinFunc({U: Fraction(1, 3), Vertex(-1, ()): Fraction(-1, 3)})
 SIX = FinFunc({U: Fraction(6), Vertex(-1, ()): Fraction(-6)})  # 6**1000 passes the largest float
+TWO = FinFunc({Vertex(30, ()): Fraction(2)})  # 2**1000 does not, but times the weight 2**30 does
 BUDGET = "holds more than the budget of 100000 vertices"
 POWER = "a float |x|**q passes the largest float at q = 1000"
 UNPRINTABLE = "bits is too large to print: its numerator or denominator passes 4300 digits"
@@ -343,11 +344,15 @@ UNPRINTABLE = "bits is too large to print: its numerator or denominator passes 4
         (["bmo-norm", "--q=1000", "--in", "SIX"], POWER),
         (["sharp", "--q=1000", "--at", "0:", "--in", "SIX"], POWER),
         (["check", "sharp", "--q", "1000", "--size", "1"], POWER),
+        # or where the sum overflows to inf without raising
+        (["bmo-norm", "--q=1000", "--in", "TWO"], POWER),
+        (["sharp", "--q=1000", "--at", "30:", "--in", "TWO"], POWER),
     ],
 )
 def test_far_input_exit_two(tmp_path, capsys, argv, message):
     path = write_func(tmp_path, "g.json", ATOM)
-    argv = [write_func(tmp_path, "six.json", SIX) if a == "SIX" else a for a in argv]
+    named = {"SIX": SIX, "TWO": TWO}
+    argv = [write_func(tmp_path, f"{a}.json", named[a]) if a in named else a for a in argv]
     if argv[0] in {"sharp", "maximal", "bmo-norm", "decompose"} and "--in" not in argv:
         argv = [*argv, "--in", path]
     code = main(argv)

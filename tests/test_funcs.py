@@ -74,6 +74,12 @@ class TestNormValue:
             NormValue.exact_sqrt(9), [(Fraction(1), t), (Fraction(1), t)]
         )
 
+    def test_norm_le_sum_rational_terms_are_exact(self):
+        # 1 + 10**-12 is above 1/3 + 1/3 + 1/3 by less than any float slack
+        third = [(Fraction(1, 3), NormValue.exact1(1))] * 3
+        assert norm_le_sum(NormValue.exact1(1), third)
+        assert not norm_le_sum(NormValue.exact1(1 + Fraction(1, 10**12)), third)
+
 
 @pytest.mark.parametrize(
     "x, expected",

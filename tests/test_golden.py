@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from treebmo import bmo, bruteforce, hardy, jsonio, maximal, sets, suites
+from treebmo import bmo, bruteforce, hardy, jsonio, maximal, sets, simplex, suites
 from treebmo.bmo import KernelWindow, bmo_norm, hormander_constant
 from treebmo.bruteforce import cz_in_window
 from treebmo.funcs import FinFunc, NormValue, lp_norm, oscillation
@@ -489,3 +489,36 @@ def test_gauge_lp_shape(monkeypatch):
     assert len(rows) == len(rhs) == len(universe) + len(family) + n
     assert {len(row) for row in rows} == {len(cost)} == {3 * n + len(family)}
     assert cost == [0] * (3 * n) + [1] * len(family)
+
+
+@pytest.mark.parametrize(
+    "bland_after, seeds, pivots",
+    [
+        (2000, H1_GAUGE_SEEDS, (96, 115, 114, 121)),
+        (0, H1_GAUGE_SEEDS[:2], (201, 182)),
+    ],
+    ids=["dantzig", "bland"],
+)
+def test_gauge_pivot_path(monkeypatch, bland_after, seeds, pivots):
+    """The `h1_lp_gauge` golden LPs take a pinned number of pivots, under
+    Dantzig pricing and, with the switch at once, under Bland's rule.  A
+    change to the pricing, the ratio test or its tie-breaks moves a count
+    even where the optimum and its digest stay the same."""
+    values = dict(zip(H1_GAUGE_SEEDS, (192, 48, 42, 96)))
+    pivot = simplex._pivot
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    monkeypatch.setattr(simplex, "BLAND_AFTER", bland_after)
+    tree = Tree(2)
+    seen = []
+    for seed in seeds:
+        count[0] = 0
+        g = nonzero_function(tree, H1_GAUGE_WINDOW, seed, "atom-combo")
+        assert h1_lp_gauge(tree, g, _gauge_family(tree, g)).value == values[seed]
+        seen.append(count[0])
+    assert tuple(seen) == pivots

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from treebmo import simplex
 from treebmo.simplex import InfeasibleError, UnboundedError, solve_lp
 
 
@@ -52,8 +53,9 @@ def test_redundant_rows_dropped():
     assert sol.objective == 1
 
 
-def test_degenerate_vertices_terminate():
-    # a classically degenerate instance; Bland fallback guarantees progress
+def test_degenerate_vertices_terminate(monkeypatch):
+    # a classically degenerate instance; Bland fallback guarantees progress,
+    # so it is also solved with the switch to Bland's rule at the first pivot
     a = [
         [F(1), F(1), F(1), F(0), F(0)],
         [F(1), F(0), F(0), F(1), F(0)],
@@ -61,9 +63,11 @@ def test_degenerate_vertices_terminate():
     ]
     b = [F(1), F(1), F(1)]
     c = [F(-1), F(-2), F(0), F(0), F(0)]
-    sol = solve_lp(a, b, c)
-    assert sol.objective == F(-2)
-    assert sol.x[1] == 1 and sol.x[0] == 0
+    for bland_after in (simplex.BLAND_AFTER, 0):
+        monkeypatch.setattr(simplex, "BLAND_AFTER", bland_after)
+        sol = solve_lp(a, b, c)
+        assert sol.objective == F(-2)
+        assert sol.x[1] == 1 and sol.x[0] == 0
 
 
 def test_free_split_pattern():
